@@ -3,9 +3,9 @@
 Each :class:`~repro.service.CampaignRunner` tick used to run one
 ``prepare_ask`` per campaign: a per-member prior draw, candidate encoding,
 dedup-key pass and unit-cube projection, each paying NumPy dispatch overhead
-on a few hundred rows.  The fleet ask (`prepare_ask_fleet` behind
-``batch_asks=True``) stacks the candidate sheets of all same-space campaigns
-and runs those passes once per tick.  This benchmark measures the effect two
+on a few hundred rows.  The runner's fleet ask (`prepare_ask_fleet`)
+stacks the candidate sheets of all same-space campaigns and runs those
+passes once per tick.  This benchmark measures the effect two
 ways, at 8 and 32 campaigns:
 
 * **ask phase** — K model-phase RF optimizers over one shared space driven
@@ -13,17 +13,18 @@ ways, at 8 and 32 campaigns:
   call per round) vs sequential ``prepare_ask`` loops.  The resulting
   proposals and every optimizer's RNG state are asserted **bitwise
   identical**.
-* **campaigns** — the acceptance measurement end to end: the same cohort
-  through the batched runner with ``batch_asks=True`` vs the
-  ``batch_asks=False`` escape hatch (all other fusion stages on in both, so
-  the difference isolates the fleet ask).  Per-campaign results are
-  asserted bit-identical at full size — only wall-clock changes.
+* **campaigns** — end to end: the same cohort through the fused runner vs
+  sequential ``CBOSearch.run`` calls with the same seeds (so the difference
+  is the whole fused tick, of which the fleet ask is one stage).
+  Per-campaign results are asserted bit-identical at full size — only
+  wall-clock changes.
 
 The fused pass amortises fixed per-member costs, so its advantage is
 largest at moderate candidate-sheet sizes (the default 128 rows); at very
 large sheets the member-local dedup loop dominates both paths and the
 speedup tends to 1.  Results are written to ``BENCH_fleet_ask.json`` (repo
-root by default); timings take the best of ``--reps`` repetitions.
+root by default) with the box's ``cpu_count`` and the previous committed
+run under ``previous``; timings take the best of ``--reps`` repetitions.
 
 Run with::
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -198,8 +200,15 @@ def measure_campaigns(
     solo_times, bat_times = [], []
     solo_results = bat_results = runner = None
     for _ in range(reps):
-        def specs():
-            return [
+        searches = make_campaigns(space, num_campaigns, num_candidates)
+        start = time.perf_counter()
+        solo_results = [
+            search.run(max_time=float("inf"), max_evaluations=max_evaluations)
+            for search in searches
+        ]
+        solo_times.append(time.perf_counter() - start)
+        runner = CampaignRunner(
+            [
                 CampaignSpec(
                     search=search,
                     max_time=float("inf"),
@@ -210,12 +219,7 @@ def measure_campaigns(
                     make_campaigns(space, num_campaigns, num_candidates)
                 )
             ]
-
-        solo_runner = CampaignRunner(specs(), batch_asks=False)
-        start = time.perf_counter()
-        solo_results = solo_runner.run()
-        solo_times.append(time.perf_counter() - start)
-        runner = CampaignRunner(specs(), batch_asks=True)
+        )
         start = time.perf_counter()
         bat_results = runner.run()
         bat_times.append(time.perf_counter() - start)
@@ -229,14 +233,35 @@ def measure_campaigns(
         "evaluations_per_campaign": [r.num_evaluations for r in bat_results],
         "ask_fleet_passes": runner.num_ask_fleet_passes,
         "ask_fleet_members": runner.num_ask_fleet_members,
-        "escape_hatch_s": t_solo,
+        "sequential_s": t_solo,
         "batched_s": t_bat,
         "speedup": t_solo / max(t_bat, 1e-12),
         "bit_identical": True,
     }
 
 
+def previous_run(output: Path):
+    """Headline numbers of the committed run this one replaces."""
+    if not output.exists():
+        return None
+    old = json.loads(output.read_text())
+    return {
+        "cpu_count": old.get("cpu_count"),
+        "campaign_baseline": old.get("campaign_baseline", "runner with the fleet ask off"),
+        **{
+            key: old["acceptance"].get(key)
+            for key in (
+                "ask_phase_8_speedup",
+                "ask_phase_32_speedup",
+                "campaigns_8_speedup",
+                "campaigns_32_speedup",
+            )
+        },
+    }
+
+
 def run_benchmark(reps: int = 3, output: Path = DEFAULT_OUTPUT, quick: bool = False):
+    previous = previous_run(output)
     if quick:
         ask_8 = measure_ask_phase(1, fleet_size=4, rounds=6)
         ask_32 = measure_ask_phase(1, fleet_size=8, rounds=6)
@@ -255,7 +280,7 @@ def run_benchmark(reps: int = 3, output: Path = DEFAULT_OUTPUT, quick: bool = Fa
         )
     for label, entry in (("camp x8", campaigns_8), ("camp x32", campaigns_32)):
         print(
-            f"{label}      hatch {entry['escape_hatch_s']:6.2f}s  "
+            f"{label}      seq {entry['sequential_s']:6.2f}s  "
             f"batched {entry['batched_s']:6.2f}s  "
             f"speedup {entry['speedup']:.2f}x  "
             f"({entry['ask_fleet_passes']} fused passes covering "
@@ -266,15 +291,18 @@ def run_benchmark(reps: int = 3, output: Path = DEFAULT_OUTPUT, quick: bool = Fa
         "benchmark": "fleet_ask",
         "reps": 1 if quick else reps,
         "quick": quick,
+        "cpu_count": os.cpu_count(),
+        "campaign_baseline": "sequential CBOSearch.run",
         "description": (
             "Stacked prepare_ask_fleet proposal passes (one fused prior "
             "draw, shared dedup-key/unit/one-hot encoding, member-local "
             "dedup) vs sequential prepare_ask loops at 8 and 32 campaigns, "
-            "and the same cohorts end to end through CampaignRunner with "
-            "batch_asks on vs the escape hatch (results asserted "
-            "bit-identical at full size). Times are best-of-reps on a "
-            "1-CPU box."
+            "and the same cohorts end to end through the fused "
+            "CampaignRunner vs sequential CBOSearch.run calls (results "
+            "asserted bit-identical at full size). Times are best-of-reps; "
+            "NumPy threads as the environment sets them."
         ),
+        "previous": previous,
         "ask_phase_8": ask_8,
         "ask_phase_32": ask_32,
         "campaigns_8": campaigns_8,
@@ -284,7 +312,7 @@ def run_benchmark(reps: int = 3, output: Path = DEFAULT_OUTPUT, quick: bool = Fa
                 "ask-phase >=1.3x fused vs sequential at 8+ campaigns on "
                 "this box, with proposals, dedup decisions and RNG states "
                 "asserted bitwise identical, and end-to-end runner results "
-                "bit-identical to the batch_asks=False escape hatch"
+                "bit-identical to sequential CBOSearch.run"
             ),
             "ask_phase_8_speedup": ask_8["speedup"],
             "ask_phase_32_speedup": ask_32["speedup"],

@@ -16,7 +16,7 @@ effect three ways:
   as one stacked ``(K, n, n)`` batched-Cholesky pass vs sequential ``fit``
   calls, posteriors asserted bitwise identical.
 * **campaigns** — the acceptance measurement: an 8-GP-campaign fleet through
-  the batched runner (``batch_gp_fits`` + fused scoring on) vs the same
+  the fused runner (batched GP fits and fused scoring) vs the same
   campaigns run sequentially.  Per-campaign results are asserted
   **bit-identical** (identical proposals; posteriors agree to ≤1e-8 by the
   fleet construction, and in practice to the last bit) — only wall-clock

@@ -1,24 +1,19 @@
-"""Multi-core runner scaling: tick stepping, scoring, end-to-end campaigns.
+"""Multi-core runner scaling: candidate scoring and end-to-end campaigns.
 
-Measures the ``step_workers`` execution layer of
+Measures the ``step_workers`` thread pool of
 :class:`~repro.service.runner.CampaignRunner` over 1/2/4/8 workers:
 
-* **tick stepping** — a mixed RF/GP cohort stepped with ``step_shards =
-  step_workers`` (shard-parallel ticks; fusion groups shrink to the shard);
 * **scoring** — one optimizer's sharded candidate scoring
   (``score_shards``) mapped over a thread-pool ``score_executor``;
-* **end-to-end** — the same cohort with ``step_shards=1`` (global fusion
-  groups kept; spare workers parallelise the intra-shard scoring chunks).
+* **end-to-end** — a mixed RF/GP cohort through the runner, whose pool
+  scores each tick's GP chunks concurrently (fusion groups always span the
+  whole fleet).
 
 Every mode asserts **bit-identity** against the 1-worker run in-benchmark —
-worker count may only change wall-clock — and the tick-stepping entry
-records the fusion counters per worker count, quantifying the documented
-trade: fusion groups form within a shard, so cross-shard members fall back
-to solo fits (`docs/architecture.md` §15).
-
-On a single-CPU container the curves record thread overhead rather than
-speedup; the numbers are still the contract's measurement (identity holds,
-and the fusion/parallelism trade is visible in the counters either way).
+worker count may only change wall-clock (`docs/architecture.md` §15).  The
+output records ``cpu_count`` and the previous committed run under
+``previous``; on boxes with fewer cores than workers the curves measure
+thread overhead rather than speedup.
 
 Run with::
 
@@ -125,48 +120,6 @@ def best_of(reps: int, thunk) -> float:
     return min(thunk() for _ in range(reps))
 
 
-def bench_tick_stepping(
-    num_campaigns: int, max_evaluations: int, reps: int, workers=WORKER_COUNTS
-) -> Dict:
-    """Shard-parallel ticks: step_shards = step_workers (fusion shrinks)."""
-    reference = CampaignRunner(
-        make_specs(num_campaigns, max_evaluations), step_workers=1
-    )
-    baseline = reference.run()
-    curve = {}
-    for count in workers:
-        counters = {}
-
-        def timed(count=count, counters=counters):
-            runner = CampaignRunner(
-                make_specs(num_campaigns, max_evaluations),
-                step_workers=count,
-                step_shards=count,
-            )
-            start = time.perf_counter()
-            results = runner.run()
-            elapsed = time.perf_counter() - start
-            for a, b in zip(baseline, results):
-                assert_identical(a, b)  # the bit-identity contract
-            counters.update(
-                fleet_fits=runner.num_fleet_fits,
-                gp_fleet_passes=runner.num_gp_fleet_full_fits
-                + runner.num_gp_fleet_extends,
-                solo_fits=runner.num_solo_fits,
-                ask_fleet_passes=runner.num_ask_fleet_passes,
-            )
-            return elapsed
-
-        curve[str(count)] = {
-            "seconds": round(best_of(reps, timed), 4),
-            "bit_identical": True,
-            # Fusion hit rate falls as shards multiply: cross-shard group
-            # members take the documented solo fallback.
-            "fusion_counters": dict(counters),
-        }
-    return curve
-
-
 def bench_scoring(reps: int, workers=WORKER_COUNTS) -> Dict:
     """Sharded candidate scoring over a thread-pool score_executor."""
     space = make_space()
@@ -209,7 +162,7 @@ def bench_scoring(reps: int, workers=WORKER_COUNTS) -> Dict:
 def bench_end_to_end(
     num_campaigns: int, max_evaluations: int, reps: int, workers=WORKER_COUNTS
 ) -> Dict:
-    """Whole campaigns with global fusion kept (step_shards=1)."""
+    """Whole campaigns; spare workers score the GP chunks concurrently."""
     baseline = CampaignRunner(
         make_specs(num_campaigns, max_evaluations), step_workers=1
     ).run()
@@ -218,9 +171,7 @@ def bench_end_to_end(
 
         def timed(count=count):
             runner = CampaignRunner(
-                make_specs(num_campaigns, max_evaluations),
-                step_workers=count,
-                step_shards=1,
+                make_specs(num_campaigns, max_evaluations), step_workers=count
             )
             start = time.perf_counter()
             results = runner.run()
@@ -236,6 +187,20 @@ def bench_end_to_end(
     return curve
 
 
+def previous_run(output: Path):
+    """The committed run this one replaces (for the BENCH file's history)."""
+    if not output.exists():
+        return None
+    old = json.loads(output.read_text())
+    return {
+        "cpu_count": old.get("cpu_count"),
+        "curves": {
+            name: {count: entry["seconds"] for count, entry in curve.items()}
+            for name, curve in old.get("curves", {}).items()
+        },
+    }
+
+
 def run_benchmark(
     num_campaigns: int = 8,
     max_evaluations: int = 28,
@@ -243,11 +208,9 @@ def run_benchmark(
     workers=WORKER_COUNTS,
     output: Path = DEFAULT_OUTPUT,
 ):
+    previous = previous_run(output)
     curves = {}
     print(f"cohort: {num_campaigns} campaigns x {max_evaluations} evaluations")
-    curves["tick_stepping"] = bench_tick_stepping(
-        num_campaigns, max_evaluations, reps, workers
-    )
     curves["scoring"] = bench_scoring(reps, workers)
     curves["end_to_end"] = bench_end_to_end(
         num_campaigns, max_evaluations, reps, workers
@@ -259,7 +222,9 @@ def run_benchmark(
             for count, entry in curve.items()
         )
         print(f"{name:14s} {line}")
-    stepping = curves["tick_stepping"]
+    bit_identical = all(
+        entry["bit_identical"] for curve in curves.values() for entry in curve.values()
+    )
     payload = {
         "benchmark": "parallel_step",
         "num_campaigns": num_campaigns,
@@ -268,35 +233,21 @@ def run_benchmark(
         "cpu_count": os.cpu_count(),
         "description": (
             "Multi-core CampaignRunner scaling over step_workers in "
-            f"{list(workers)}: shard-parallel tick stepping (step_shards="
-            "step_workers), thread-pool sharded candidate scoring "
-            "(score_executor), and end-to-end campaigns with global fusion "
-            "(step_shards=1). Every mode asserts bitwise identity to the "
-            "1-worker run in-benchmark; fusion counters per worker count "
-            "show the cross-shard solo fallback. On boxes with fewer cores "
-            "than workers the curves measure thread overhead, not speedup."
+            f"{list(workers)}: thread-pool sharded candidate scoring "
+            "(score_executor) and end-to-end campaigns whose GP scoring "
+            "chunks run on the runner's pool. Every mode asserts bitwise "
+            "identity to the 1-worker run in-benchmark. On boxes with fewer "
+            "cores than workers the curves measure thread overhead, not "
+            "speedup."
         ),
         "curves": curves,
+        "previous": previous,
         "acceptance": {
-            "criterion": (
-                "all worker counts bit-identical to 1 worker in every mode; "
-                "fusion counters recorded per shard count"
-            ),
-            "bit_identical": all(
-                entry["bit_identical"]
-                for curve in curves.values()
-                for entry in curve.values()
-            ),
-            "fusion_solo_fallback_visible": (
-                stepping[str(workers[-1])]["fusion_counters"]["solo_fits"]
-                >= stepping[str(workers[0])]["fusion_counters"]["solo_fits"]
-            ),
-            "passed": True,
+            "criterion": "all worker counts bit-identical to 1 worker in every mode",
+            "bit_identical": bit_identical,
+            "passed": bit_identical,
         },
     }
-    payload["acceptance"]["passed"] = bool(
-        payload["acceptance"]["bit_identical"]
-    )
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {output}")
     status = "PASS" if payload["acceptance"]["passed"] else "FAIL"

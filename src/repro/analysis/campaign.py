@@ -186,7 +186,8 @@ def aggregate_trajectories(
 
     Returns a dict with keys ``time``, ``mean``, ``min``, ``max``; times before
     a repetition's first successful evaluation contribute NaN (ignored by the
-    nan-aware aggregation).
+    nan-aware aggregation), and grid points before *any* repetition's first
+    success stay NaN in all three curves.
 
     Each repetition's curve is resolved in one vectorised
     :meth:`~repro.core.history.SearchHistory.incumbent_at` call over the whole
@@ -198,14 +199,16 @@ def aggregate_trajectories(
     for result in results:
         values = result.history.incumbent_at(grid)
         curves.append(np.where(np.isfinite(values), values, np.nan))
-    arr = np.asarray(curves, dtype=float)
-    with np.errstate(all="ignore"):
-        return {
-            "time": grid,
-            "mean": np.nanmean(arr, axis=0),
-            "min": np.nanmin(arr, axis=0),
-            "max": np.nanmax(arr, axis=0),
-        }
+    arr = np.asarray(curves, dtype=float).reshape(len(curves), num_points)
+    # Aggregate only the columns holding a finite value: the nan-reductions
+    # warn on all-NaN columns, whose result is NaN anyway.
+    seen = ~np.isnan(arr).all(axis=0)
+    columns = arr[:, seen]
+    out = {"time": grid}
+    for name, reduce in (("mean", np.nanmean), ("min", np.nanmin), ("max", np.nanmax)):
+        out[name] = np.full(num_points, np.nan)
+        out[name][seen] = reduce(columns, axis=0)
+    return out
 
 
 def run_repeated_search(

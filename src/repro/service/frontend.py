@@ -22,9 +22,15 @@ Three ways to drive a registered study:
         POST /studies/<name>/report          {"runtimes": [...]}
         POST /studies/<name>/heartbeat       refresh liveness
 
-    Unknown studies are 404, template/protocol/payload errors are 400.
-    Floats cross the wire through ``json`` (repr-exact for float64), so an
-    HTTP-driven campaign remains bit-identical to an in-process one.
+    Unknown studies are 404, protocol violations 409, and bad input —
+    unparseable or mistyped payloads, unknown templates, a negative
+    ``Content-Length`` — 400, leaving the registry unchanged; bodies over
+    :data:`MAX_BODY_BYTES` are 413 and never read.  Any other fault is a 500
+    whose reply carries an error id that is also logged (``logging``, logger
+    ``repro.service.frontend``) with the traceback.  Every reply, errors
+    included, is a JSON object.  Floats cross the wire through ``json``
+    (repr-exact for float64), so an HTTP-driven campaign remains
+    bit-identical to an in-process one.
 
 :class:`HTTPStudyClient`
     The remote twin of :class:`StudyClient`, speaking the protocol above via
@@ -34,7 +40,9 @@ Three ways to drive a registered study:
 from __future__ import annotations
 
 import json
+import logging
 import threading
+import uuid
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,7 +58,21 @@ from repro.service.registry import (
     UnknownStudyError,
 )
 
-__all__ = ["StudyClient", "StudyFrontend", "HTTPStudyClient"]
+__all__ = ["MAX_BODY_BYTES", "StudyClient", "StudyFrontend", "HTTPStudyClient"]
+
+logger = logging.getLogger(__name__)
+
+#: Largest request body the HTTP frontend accepts, in bytes.  A longer
+#: declared ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _RequestError(Exception):
+    """A request rejected before it reaches the registry (status + message)."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _json_default(value):
@@ -153,52 +175,83 @@ def _make_handler(registry: CampaignRegistry):
             self._reply(code, {"error": message})
 
         def _read_json(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                raise _RequestError(400, "Content-Length must be an integer")
+            if length < 0:
+                raise _RequestError(400, "Content-Length must not be negative")
+            if length > MAX_BODY_BYTES:
+                raise _RequestError(
+                    413, f"request body over {MAX_BODY_BYTES} bytes"
+                )
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 return {}
-            payload = json.loads(raw.decode("utf-8"))
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+            except ValueError as error:  # includes UnicodeDecodeError
+                raise _RequestError(400, f"malformed JSON payload: {error}")
             if not isinstance(payload, dict):
-                raise ValueError("payload must be a JSON object")
+                raise _RequestError(
+                    400, "malformed JSON payload: must be a JSON object"
+                )
             return payload
 
         def _route(self) -> List[str]:
             return [part for part in self.path.split("?")[0].split("/") if part]
 
-        def do_GET(self) -> None:
-            parts = self._route()
-            try:
-                if parts == ["studies"]:
-                    self._reply(200, {"studies": registry.statuses()})
-                elif len(parts) == 2 and parts[0] == "studies":
-                    self._reply(200, registry.status(parts[1]))
-                else:
-                    self._error(404, f"no such route: GET {self.path}")
-            except UnknownStudyError as error:
-                self._error(404, str(error))
-            except RegistryError as error:
-                self._error(400, str(error))
+        def _handle(self, respond: Callable[[], None]) -> None:
+            """Run one request, mapping every failure onto a JSON reply.
 
-        def do_POST(self) -> None:
-            parts = self._route()
+            Rejected requests and registry errors keep their typed codes;
+            anything else is an internal fault: 500 with an error id, logged
+            with its traceback.
+            """
             try:
-                payload = self._read_json()
-            except (ValueError, UnicodeDecodeError) as error:
-                self._error(400, f"malformed JSON payload: {error}")
-                return
-            try:
-                if parts == ["studies"]:
-                    self._create(payload)
-                elif len(parts) == 3 and parts[0] == "studies":
-                    self._verb(parts[1], parts[2], payload)
-                else:
-                    self._error(404, f"no such route: POST {self.path}")
+                respond()
+            except _RequestError as error:
+                self._error(error.code, str(error))
             except UnknownStudyError as error:
                 self._error(404, str(error))
             except ProtocolError as error:
                 self._error(409, str(error))
             except RegistryError as error:
                 self._error(400, str(error))
+            except Exception:
+                error_id = uuid.uuid4().hex[:12]
+                logger.exception(
+                    "%s %s failed (error id %s)", self.command, self.path, error_id
+                )
+                self._reply(
+                    500,
+                    {"error": f"internal error (id {error_id})", "error_id": error_id},
+                )
+
+        def do_GET(self) -> None:
+            self._handle(self._get)
+
+        def do_POST(self) -> None:
+            self._handle(self._post)
+
+        def _get(self) -> None:
+            parts = self._route()
+            if parts == ["studies"]:
+                self._reply(200, {"studies": registry.statuses()})
+            elif len(parts) == 2 and parts[0] == "studies":
+                self._reply(200, registry.status(parts[1]))
+            else:
+                self._error(404, f"no such route: GET {self.path}")
+
+        def _post(self) -> None:
+            parts = self._route()
+            payload = self._read_json()
+            if parts == ["studies"]:
+                self._create(payload)
+            elif len(parts) == 3 and parts[0] == "studies":
+                self._verb(parts[1], parts[2], payload)
+            else:
+                self._error(404, f"no such route: POST {self.path}")
 
         def _create(self, payload: Dict) -> None:
             try:
@@ -206,19 +259,27 @@ def _make_handler(registry: CampaignRegistry):
             except KeyError:
                 raise RegistryError("create payload requires 'name'")
             max_evaluations = payload.get("max_evaluations")
-            record, created = registry.create_study(
-                name,
-                template=payload.get("template"),
-                seed=int(payload.get("seed", 0)),
-                max_time=float(payload.get("max_time", 3600.0)),
-                max_evaluations=(
-                    None if max_evaluations is None else int(max_evaluations)
-                ),
-                tenant=str(payload.get("tenant", "default")),
-                mode=str(payload.get("mode", "ask_tell")),
-                if_exists=str(payload.get("if_exists", "attach")),
-                params=payload.get("params") or {},
-            )
+            params = payload.get("params") or {}
+            # Values that do not coerce — here or in the template factory —
+            # are bad input; the registry stores a study only once built.
+            try:
+                if not isinstance(params, dict):
+                    raise TypeError("'params' must be a JSON object")
+                record, created = registry.create_study(
+                    name,
+                    template=payload.get("template"),
+                    seed=int(payload.get("seed", 0)),
+                    max_time=float(payload.get("max_time", 3600.0)),
+                    max_evaluations=(
+                        None if max_evaluations is None else int(max_evaluations)
+                    ),
+                    tenant=str(payload.get("tenant", "default")),
+                    mode=str(payload.get("mode", "ask_tell")),
+                    if_exists=str(payload.get("if_exists", "attach")),
+                    params=params,
+                )
+            except (ValueError, TypeError, KeyError) as error:
+                raise _RequestError(400, f"invalid create payload: {error}")
             self._reply(
                 201 if created else 200,
                 {
@@ -240,6 +301,12 @@ def _make_handler(registry: CampaignRegistry):
                     raise RegistryError(
                         "report payload requires 'runtimes': [...]"
                     )
+                # Coerce before the registry sees the batch, so a bad value
+                # is a 400 that leaves the study untouched.
+                try:
+                    runtimes = [float(value) for value in runtimes]
+                except (ValueError, TypeError) as error:
+                    raise _RequestError(400, f"invalid runtimes: {error}")
                 self._reply(200, registry.report(name, runtimes))
             elif verb == "heartbeat":
                 self._reply(200, registry.heartbeat(name))

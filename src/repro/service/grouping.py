@@ -16,11 +16,10 @@ the same grouping rule:
   arrival order inside each group, so the fused passes are deterministic
   for a given active set.
 
-The rule used to live inline in four runner methods; with the elastic runner
-re-forming groups from a *changing* active set every tick, it is extracted
-here as :func:`plan_tick_groups` so the legacy batch path and the elastic
-path share one implementation with its own unit tests
-(``tests/service/test_grouping.py``).
+With the elastic runner re-forming groups from a *changing* active set
+every tick, the rule lives here as :func:`plan_tick_groups`, one
+implementation with its own unit tests (``tests/service/test_grouping.py``)
+behind every fused stage of the fixed and the elastic runner.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, TypeVar
 
-__all__ = ["TickGroup", "plan_step_shards", "plan_tick_groups"]
+__all__ = ["TickGroup", "plan_tick_groups"]
 
 T = TypeVar("T")
 
@@ -103,47 +102,3 @@ def plan_tick_groups(
             fused = len(identities) == len(members)
         groups.append(TickGroup(key=key, members=members, fused=fused))
     return groups
-
-
-def plan_step_shards(
-    items: Sequence[T],
-    num_shards: int,
-    affinity_of: Optional[Callable[[T], Optional[Hashable]]] = None,
-) -> List[List[T]]:
-    """Partition one tick's active set into shards for parallel stepping.
-
-    The plan is a pure function of the item order and ``num_shards`` — never
-    of worker count, timing or thread identity — which is half of the
-    parallel runner's bit-identity contract (the other half is reducing
-    shard results in shard order).  Items are dealt into ``num_shards``
-    balanced contiguous slices (sizes differ by at most one, order preserved
-    within each shard).
-
-    ``affinity_of`` optionally maps an item to an affinity token (or ``None``
-    for no affinity).  All items sharing a token land in the shard of the
-    token's *first* item: campaigns sharing one
-    :class:`~repro.service.evaluator.SharedWorkerPool` must step in a single
-    shard so their interleaved virtual-time events replay in arrival order
-    rather than racing across shards.
-
-    Empty shards are dropped, so the result has ``min(num_shards,
-    len(items))`` or fewer entries (fewer when affinity pulls items
-    together).
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    n = len(items)
-    if n == 0:
-        return []
-    num_shards = min(int(num_shards), n)
-    shards: List[List[T]] = [[] for _ in range(num_shards)]
-    token_shard: Dict[Hashable, int] = {}
-    for i, item in enumerate(items):
-        # Balanced contiguous deal: item i belongs to shard i*k//n, which
-        # slices the sequence into k runs whose sizes differ by at most one.
-        index = (i * num_shards) // n
-        token = affinity_of(item) if affinity_of is not None else None
-        if token is not None:
-            index = token_shard.setdefault(token, index)
-        shards[index].append(item)
-    return [shard for shard in shards if shard]

@@ -27,8 +27,8 @@ lock-step *batch ticks* over their virtual-time evaluators:
    VAE refit falls due this tick train them as one fused
    :class:`~repro.core.vae.tvae.VAEFleet` pass per compatible group;
 4. **ask** — the fleet ask: the tick's due asks are grouped by search
-   space and encoding (``batch_asks``) and each group's candidate
-   generation runs as one stacked
+   space and encoding and each group's candidate generation runs as one
+   stacked
    :func:`~repro.core.optimizer.prepare_ask_fleet` pass — one fused prior
    sample, one shared encoding, one fused dedup sweep — before the
    already-fused posterior scoring and submission.
@@ -37,7 +37,11 @@ Campaign fleets built from transfer-learning searches constructed with
 ``VAEABOSearch(defer_transfer_fit=True)`` additionally get their initial
 ``fit_transfer_prior`` VAE fits fused into
 :class:`~repro.core.vae.tvae.VAEFleet` passes when the runner starts them
-(``batch_vae_fits``), instead of paying K solo VAE trainings up front.
+instead of paying K solo VAE trainings up front.
+
+Fusion is always on: every stage groups its due work with
+:func:`~repro.service.grouping.plan_tick_groups`, and a group of one takes
+the solo path.
 
 Because each campaign's operations run in exactly the order the sequential
 loop would run them, and the fleet fit is bit-identical per forest, the
@@ -68,29 +72,24 @@ Campaigns may also share a :class:`~repro.service.SharedWorkerPool` through
 compete for the same workers on one clock — the service deployment scenario
 (results then legitimately differ from private-worker runs).
 
-**Multi-core execution** (``step_workers``): each tick the active set is
-partitioned into shards by the pure plan
-:func:`~repro.service.grouping.plan_step_shards`, every shard runs the
-complete per-tick pipeline independently (thread pool by default, one
-process per shard of *whole campaigns* with ``step_backend="process"``), and
-the shard results are reduced onto the runner in shard order.  Because the
-shard plan depends only on the active-set order and ``step_shards`` — never
-on worker count or thread timing — and every fused pass is bit-identical per
-member, ``step_workers=1`` and ``step_workers=N`` produce bitwise-identical
-campaigns; fusion groups form *within* a shard, so sharding only trades
-fusion hit rate against parallelism (see docs/architecture.md §15).
+**Parallel scoring** (``step_workers``): the tick is one pipeline over the
+whole active set, so fusion groups always span the fleet.  With
+``step_workers > 1`` the runner keeps a thread pool that scores a tick's
+cache-sized GP chunks concurrently and serves as the ``score_executor`` of
+optimizers built with ``score_shards > 1``.  Scoring is bit-identical
+chunked or not, threaded or not, so ``step_workers=1`` and
+``step_workers=N`` produce bitwise-identical campaigns (see
+docs/architecture.md §15).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import defaultdict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.journal import CampaignJournal, open_journal_reader
+from repro.core.journal import CampaignJournal
 from repro.core.optimizer import prepare_ask_fleet
 from repro.core.search import CampaignExecution, CBOSearch, SearchResult
 from repro.core.space import Configuration
@@ -106,7 +105,7 @@ from repro.core.surrogate.random_forest import (
     predict_forest_fleet,
 )
 from repro.core.vae.tvae import VAEFleet, vae_fleet_key
-from repro.service.grouping import plan_step_shards, plan_tick_groups
+from repro.service.grouping import plan_tick_groups
 
 __all__ = [
     "CampaignSpec",
@@ -174,52 +173,15 @@ _FAILED = object()
 class CampaignRunner:
     """Run several independent campaigns concurrently over batch ticks.
 
+    Every tick fuses the due work of compatible campaigns — RF and GP
+    refits, prior-refresh and deferred transfer VAE fits, candidate
+    generation and candidate scoring — through bit-identical fleet passes;
+    groups of one take the solo path.
+
     Parameters
     ----------
     specs:
         The campaigns to run (order is preserved in the results).
-    batch_surrogate_fits:
-        Group the due level-wise random-forest refits of one tick into a
-        single fleet fit (default).  ``False`` fits each campaign's surrogate
-        on its own — same results, sequential-fit wall-clock; kept selectable
-        so the benchmark can quantify the batching and the tests can compare
-        both paths.
-    batch_gp_fits:
-        Group the due Gaussian-process refits of one tick into batched
-        :class:`~repro.core.surrogate.gaussian_process.GPFleet` passes
-        (default): one stacked Cholesky factorisation per full-refit group,
-        one batched factor extension per incremental group, grouped by
-        :func:`~repro.core.surrogate.gaussian_process.gp_fleet_key` (fleet
-        mode plus shapes — unequal history sizes fall back to solo fits).
-        Bit-identical per campaign; ``False`` fits each campaign's GP on its
-        own — the escape hatch the benchmark and the identity tests compare
-        against.
-    batch_candidate_scoring:
-        Score the candidate pools of one tick's RF-backed asks in one fused
-        :func:`~repro.core.surrogate.random_forest.predict_forest_fleet`
-        traversal, and the GP-backed asks of equal candidate/training shape
-        through one fused
-        :meth:`~repro.core.surrogate.gaussian_process.GPFleet.predict`
-        cross-kernel pass (default).  Bit-identical to per-campaign scoring.
-    batch_vae_fits:
-        Fuse the prior-refresh VAE refits that fall due in one tick
-        (campaigns running the continuous-retuning scenario,
-        ``CBOSearch(prior_refresh_interval=...)``) into a single
-        :class:`~repro.core.vae.tvae.VAEFleet` training pass per compatible
-        group (default), and likewise the construction-time transfer-prior
-        VAE fits of searches built with
-        ``VAEABOSearch(defer_transfer_fit=True)`` when their campaigns
-        start.  Bit-identical per campaign to refitting each VAE on its
-        own; ``False`` keeps the per-campaign fits.
-    batch_asks:
-        The fleet ask (default): group each tick's due asks by search space
-        and encoding (:func:`~repro.service.grouping.plan_tick_groups`) and
-        run each fused group's candidate generation as one stacked
-        :func:`~repro.core.optimizer.prepare_ask_fleet` pass — one fused
-        prior sample, one shared ``to_unit_array``/one-hot encoding, one
-        fused dedup sweep against each member's own evaluated keys.
-        Bit-identical per campaign (each member's RNG draws keep their solo
-        order); ``False`` is the escape hatch that prepares every ask solo.
     run_batcher:
         Optional service-style evaluation batcher: a callable receiving the
         tick's submissions as ``[(spec_index, configurations), ...]`` and
@@ -243,74 +205,29 @@ class CampaignRunner:
         Quarantined campaigns still contribute their partial
         :class:`~repro.core.search.SearchResult`.
     step_workers:
-        Number of workers stepping tick shards in parallel.  ``None``
-        (default) reads the ``REPRO_STEP_WORKERS`` environment variable
-        (falling back to 1 — the sequential runner).  With 1 worker the
-        tick runs exactly as before; with N the shards of the tick run
-        concurrently.  Results are bitwise identical either way: the shard
-        plan and the shard-order reduction never depend on worker count.
-    step_shards:
-        Number of shards the active set is partitioned into each tick
-        (defaults to ``step_workers``).  The shard plan — not the worker
-        count — is what determines fusion-group composition: fusion happens
-        within a shard, so cross-shard groups fall back solo.  Pin
-        ``step_shards=1`` to keep global fusion groups while still using
-        ``step_workers`` for intra-shard parallel scoring.
-    step_backend:
-        ``"thread"`` (default) steps shards on a shared thread pool —
-        per-tick granularity, zero-copy by construction.
-        ``"process"`` runs each shard's campaigns to completion in a forked
-        worker process instead (whole-campaign granularity: per-tick
-        process hops cannot round-trip live state bit-identically); it
-        requires every spec to be journaled, because the parent rebuilds
-        each result from the child's journal through the
-        :class:`~repro.core.journal.JournalReader` mmap views — the
-        zero-copy channel — rather than pickling histories over the pipe.
-        Only :meth:`run` supports the process backend.
+        Size of the thread pool that scores a tick's GP chunks concurrently
+        and serves as the ``score_executor`` of optimizers with
+        ``score_shards > 1`` (default 1: no pool, everything inline).
+        Results are bitwise identical at any value.
     """
 
     def __init__(
         self,
         specs: Sequence[CampaignSpec],
-        batch_surrogate_fits: bool = True,
-        batch_candidate_scoring: bool = True,
-        batch_vae_fits: bool = True,
-        batch_gp_fits: bool = True,
-        batch_asks: bool = True,
         run_batcher: Optional[Callable] = None,
         on_campaign_error: str = "raise",
-        step_workers: Optional[int] = None,
-        step_shards: Optional[int] = None,
-        step_backend: str = "thread",
+        step_workers: int = 1,
     ):
         if not specs:
             raise ValueError("need at least one campaign")
-        self._configure(
-            batch_surrogate_fits=batch_surrogate_fits,
-            batch_candidate_scoring=batch_candidate_scoring,
-            batch_vae_fits=batch_vae_fits,
-            batch_gp_fits=batch_gp_fits,
-            batch_asks=batch_asks,
-            run_batcher=run_batcher,
-            on_campaign_error=on_campaign_error,
-            step_workers=step_workers,
-            step_shards=step_shards,
-            step_backend=step_backend,
-        )
+        self._configure(run_batcher, on_campaign_error, step_workers)
         self.specs = list(specs)
 
     def _configure(
         self,
-        batch_surrogate_fits: bool,
-        batch_candidate_scoring: bool,
-        batch_vae_fits: bool,
-        batch_gp_fits: bool,
-        batch_asks: bool,
         run_batcher: Optional[Callable],
         on_campaign_error: str,
-        step_workers: Optional[int] = None,
-        step_shards: Optional[int] = None,
-        step_backend: str = "thread",
+        step_workers: int,
     ) -> None:
         """Shared option validation and live-state initialisation."""
         if on_campaign_error not in ("raise", "quarantine"):
@@ -318,40 +235,17 @@ class CampaignRunner:
                 f"unknown on_campaign_error {on_campaign_error!r} "
                 "(expected 'raise' or 'quarantine')"
             )
-        if step_backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown step_backend {step_backend!r} "
-                "(expected 'thread' or 'process')"
-            )
-        if step_workers is None:
-            step_workers = int(os.environ.get("REPRO_STEP_WORKERS", "1"))
         if step_workers < 1:
             raise ValueError("step_workers must be >= 1")
-        if step_shards is None:
-            step_shards = step_workers
-        if step_shards < 1:
-            raise ValueError("step_shards must be >= 1")
         self.specs: List[CampaignSpec] = []
-        self.batch_surrogate_fits = bool(batch_surrogate_fits)
-        self.batch_candidate_scoring = bool(batch_candidate_scoring)
-        self.batch_vae_fits = bool(batch_vae_fits)
-        self.batch_gp_fits = bool(batch_gp_fits)
-        self.batch_asks = bool(batch_asks)
         self.run_batcher = run_batcher
         self.on_campaign_error = on_campaign_error
         self.step_workers = int(step_workers)
-        self.step_shards = int(step_shards)
-        self.step_backend = step_backend
         self._step_executor: Optional[ThreadPoolExecutor] = None
-        #: Serialises ``run_batcher`` invocations: parallel shards each batch
-        #: their own submissions, but the batcher callable itself need not be
-        #: thread-safe.
-        self._batcher_lock = threading.Lock()
-        #: Per-spec results of a process-backend run (None otherwise).
-        self._process_results: Optional[List[Optional[SearchResult]]] = None
         #: Campaigns isolated by quarantine mode during the last :meth:`run`.
         self.quarantined: List[QuarantinedCampaign] = []
         self._index_of: Dict[int, int] = {}
+        #: Campaigns quarantined during the current tick (by id).
         self._dropped_ids: set = set()
         #: Executions per spec index (None until started / if start failed).
         self._executions: List[Optional[CampaignExecution]] = []
@@ -389,9 +283,9 @@ class CampaignRunner:
         #: together with the fleet counters this yields the fusion hit rate.
         self.num_solo_fits = 0
 
-    # --------------------------------------------------------- step executor
+    # ------------------------------------------------------- scoring executor
     def _executor(self) -> ThreadPoolExecutor:
-        """The (lazily created) shared thread pool stepping tick shards."""
+        """The (lazily created) thread pool scoring a tick's candidates."""
         if self._step_executor is None:
             self._step_executor = ThreadPoolExecutor(
                 max_workers=self.step_workers, thread_name_prefix="repro-step"
@@ -399,7 +293,7 @@ class CampaignRunner:
         return self._step_executor
 
     def close(self) -> None:
-        """Shut down the step thread pool (idempotent; recreated on demand).
+        """Shut down the scoring thread pool (idempotent; recreated on demand).
 
         :meth:`run` closes on exit; call this yourself when driving
         :meth:`tick` directly (e.g. an embedded elastic runner) and the
@@ -409,26 +303,9 @@ class CampaignRunner:
             self._step_executor.shutdown(wait=True)
             self._step_executor = None
 
-    @staticmethod
-    def _pool_affinity(execution: CampaignExecution):
-        """Affinity token pinning same-pool campaigns to one shard.
-
-        Campaigns sharing a :class:`~repro.service.SharedWorkerPool` must
-        step together: their virtual-time events interleave on one clock,
-        and replaying that interleaving in arrival order (the within-shard
-        order) keeps shared-pool runs deterministic under parallel stepping.
-        Private-pool and private-evaluator campaigns have no affinity.
-        """
-        pool = getattr(execution.evaluator, "pool", None)
-        if pool is None or len(pool.clients) <= 1:
-            return None
-        return id(pool)
-
     # ------------------------------------------------------------------- run
     def run(self) -> List[SearchResult]:
         """Execute all campaigns; per-spec results in spec order."""
-        if self.step_backend == "process" and self.step_workers > 1:
-            return self._run_process_shards()
         try:
             self._begin()
             while self._active:
@@ -439,8 +316,6 @@ class CampaignRunner:
 
     def results(self) -> List[Optional[SearchResult]]:
         """Per-spec results in spec order (None for never-started specs)."""
-        if self._process_results is not None:
-            return list(self._process_results)
         return [
             None if execution is None else execution.result()
             for execution in self._executions
@@ -449,11 +324,9 @@ class CampaignRunner:
     def _begin(self) -> None:
         """Start every spec's execution and reset the run-scoped state."""
         self.quarantined = []
-        self._dropped_ids = set()
         self._index_of = {}
         self._executions = []
         self._active = []
-        self._process_results = None
         self._reset_counters()
         self._start_specs(range(len(self.specs)))
 
@@ -466,8 +339,7 @@ class CampaignRunner:
         start itself raises is recorded with phase ``"start"`` instead of
         aborting the batch.
         """
-        if self.batch_vae_fits:
-            self._fit_transfer_fleet(indices)
+        self._fit_transfer_fleet(indices)
         batching_runs = self.run_batcher is not None
         started: List[Tuple[int, CampaignExecution]] = []
         for index in indices:
@@ -569,156 +441,103 @@ class CampaignRunner:
     def tick(self) -> None:
         """Advance every active campaign by one batch tick.
 
-        The active set is partitioned into shards by the pure plan
-        :func:`~repro.service.grouping.plan_step_shards` (campaigns sharing
-        a worker pool are pinned together); each shard runs the complete
-        per-tick pipeline — fleet-fusion groups are planned fresh from the
-        *shard's* members — and the shard results (survivors, quarantine
-        records, counter deltas) are reduced onto the runner **in shard
-        order**, never in completion order.  With ``step_shards=1`` (the
-        default when ``step_workers`` is 1) this is exactly the historic
-        single-pipeline tick with global fusion groups.  Campaigns that
-        finish or are quarantined during the tick leave the active set at
-        its end.
+        One pipeline over the whole active set: collect → tell → RF/GP
+        fleet fits → prior refreshes → fleet ask → fused scoring → submit →
+        checkpoint.  Fleet-fusion groups are planned fresh from the active
+        set (:func:`~repro.service.grouping.plan_tick_groups`).  Campaigns
+        that finish or are quarantined during the tick leave the active set
+        at its end.
         """
         self.num_ticks += 1
-        shards = plan_step_shards(
-            self._active, self.step_shards, affinity_of=self._pool_affinity
-        )
-        if len(shards) <= 1:
-            # A single shard steps inline; with spare workers its candidate
-            # scoring may parallelise inside the tick instead.
-            parallel_scoring = self.step_workers > 1
-            contexts = [
-                _ShardTick(self, shard, parallel_scoring=parallel_scoring).advance()
-                for shard in shards
-            ]
-        elif self.step_workers > 1:
-            contexts = list(
-                self._executor().map(
-                    lambda shard: _ShardTick(self, shard).advance(), shards
-                )
-            )
-        else:
-            contexts = [_ShardTick(self, shard).advance() for shard in shards]
-        # Deterministic reduction: shard order, not completion order.
-        active: List[CampaignExecution] = []
-        for context in contexts:
-            for name, delta in context.counters.items():
-                setattr(self, name, getattr(self, name) + delta)
-            self.quarantined.extend(context.quarantined)
-            self._dropped_ids.update(context.dropped_ids)
-            active.extend(context.survivors)
-        self._active = active
-
-    # --------------------------------------------------------- process shards
-    def _run_process_shards(self) -> List[SearchResult]:
-        """Run the campaigns as one forked worker process per spec shard.
-
-        Each child runs a sequential :class:`CampaignRunner` over its shard
-        of whole campaigns (per-tick process stepping cannot round-trip live
-        optimizer/evaluator state bit-identically, so the process backend
-        shards at campaign granularity) and only scalars cross the result
-        pipe: every spec must be journaled, and the parent rebuilds each
-        :class:`~repro.core.search.SearchResult` from the child's final
-        checkpoint through the :class:`~repro.core.journal.JournalReader`
-        mmap views — histories return zero-copy, never pickled.  Counters
-        are summed and quarantine records merged in shard order;
-        ``num_ticks`` is the maximum over shards (the parallel tick depth).
-        """
-        import multiprocessing
-
-        for index, spec in enumerate(self.specs):
-            if spec.journal_dir is None:
-                raise ValueError(
-                    "step_backend='process' requires journaled campaigns "
-                    f"(spec {index} has no journal_dir): results return "
-                    "through JournalReader mmap views, not pickles"
-                )
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            raise RuntimeError(
-                "step_backend='process' requires the fork start method"
-            ) from None
-        self.quarantined = []
         self._dropped_ids = set()
-        self._index_of = {}
-        self._executions = [None] * len(self.specs)
-        self._active = []
-        self._reset_counters()
-        shards = plan_step_shards(list(range(len(self.specs))), self.step_shards)
-        workers: List[Tuple[List[int], object, object]] = []
-        for shard in shards:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_run_spec_shard, args=(self, shard, sender)
-            )
-            process.start()
-            sender.close()
-            workers.append((shard, receiver, process))
-        results: List[Optional[SearchResult]] = [None] * len(self.specs)
-        failures: List[str] = []
-        payloads: List[Tuple[List[int], Optional[Dict]]] = []
-        for shard, receiver, process in workers:
-            try:
-                payload = receiver.recv()
-            except EOFError:
-                payload = {"error": "shard process died without a result"}
-            receiver.close()
-            process.join()
-            payloads.append((shard, payload))
-        for shard, payload in payloads:
-            error = payload.get("error")
-            if error is not None:
-                failures.append(f"shard {shard}: {error}")
+        ticking: List[CampaignExecution] = []
+        fit_due: List[CampaignExecution] = []
+        gp_due: List[CampaignExecution] = []
+        for execution in self._active:
+            completed = self._step(execution, "collect", execution.collect)
+            if completed is _FAILED:
                 continue
-            for name, delta in payload["counters"].items():
-                setattr(self, name, getattr(self, name) + delta)
-            self.num_ticks = max(self.num_ticks, payload["num_ticks"])
-            for index, label, phase, message in payload["quarantined"]:
-                self.quarantined.append(
-                    QuarantinedCampaign(
-                        index=index,
-                        label=label,
-                        phase=phase,
-                        error=RuntimeError(message),
-                    )
+            if completed is None:
+                # The campaign just finished: commit its final checkpoint
+                # so ``finished`` is durably recorded.
+                self._step(
+                    execution,
+                    "checkpoint",
+                    lambda e=execution: e.maybe_checkpoint(force=True),
                 )
-            for index, summary in zip(shard, payload["results"]):
-                if summary is None:
+                continue
+            due = self._step(execution, "tell", execution.ingest_collected)
+            if due is _FAILED:
+                continue
+            if due:
+                if self._fleet_eligible(execution):
+                    fit_due.append(execution)
+                elif isinstance(
+                    execution.optimizer.surrogate, GaussianProcessSurrogate
+                ):
+                    gp_due.append(execution)
+                elif self._solo_fit(execution) is _FAILED:
                     continue
-                results[index] = self._result_from_journal(index, summary)
-        if failures:
-            raise RuntimeError(
-                "process-backend shards failed: " + "; ".join(failures)
-            )
-        self._process_results = results
-        return list(results)
+            if self._step(execution, "tell", execution.charge_tell) is _FAILED:
+                continue
+            ticking.append(execution)
+        self._fit_fleet(self._surviving(fit_due))
+        self._fit_gp_fleet(self._surviving(gp_due))
+        ticking = self._surviving(ticking)
+        self._refresh_priors(ticking)
+        ticking = self._surviving(ticking)
 
-    def _result_from_journal(self, index: int, summary: Dict) -> SearchResult:
-        """Rebuild one child campaign's result from its journal (zero-copy).
+        pairs = self._begin_asks_fleet(ticking)
+        scored: Dict[int, Tuple] = {}
+        self._score_rf_fleet(pairs, scored)
+        self._score_gp_fleet(pairs, scored)
 
-        The child sends only scalars (incumbent, utilization, budgets); the
-        history and busy intervals come from the journal's final checkpoint
-        through the mmap reader — shared pages, no serialisation.
-        """
-        spec = self.specs[index]
-        reader = open_journal_reader(
-            spec.journal_dir, spec.search.space, objective=spec.search.objective
-        )
-        history = reader.history()
-        return SearchResult(
-            history=history,
-            best_configuration=summary["best_configuration"],
-            best_runtime=summary["best_runtime"],
-            best_objective=summary["best_objective"],
-            num_evaluations=len(history),
-            worker_utilization=summary["worker_utilization"],
-            search_time=summary["search_time"],
-            num_workers=summary["num_workers"],
-            busy_intervals=reader.intervals(),
-        )
+        # With spare workers, solo candidate scoring inside finish_ask
+        # parallelises over its score_shards through the optimizer's own
+        # score_executor hook — temporarily wired to the runner's pool for
+        # optimizers that shard but have no executor.
+        wired = []
+        if self.step_workers > 1:
+            for execution, _ in pairs:
+                optimizer = execution.optimizer
+                if optimizer.score_executor is None and optimizer.score_shards > 1:
+                    optimizer.score_executor = self._executor()
+                    wired.append(optimizer)
+        try:
+            # ---- submit: batch the run-function calls when a batcher is given
+            submissions: List[Tuple[int, CampaignExecution, List[Configuration]]] = []
+            for execution, _ in pairs:
+                scores = scored.get(id(execution))
+                if scores is not None:
+                    batch = self._step(
+                        execution,
+                        "ask",
+                        lambda e=execution, s=scores: e.finish_ask(*s),
+                    )
+                else:
+                    batch = self._step(execution, "ask", execution.finish_ask)
+                if batch is not None and batch is not _FAILED:
+                    submissions.append(
+                        (self._index_of[id(execution)], execution, batch)
+                    )
+        finally:
+            for optimizer in wired:
+                optimizer.score_executor = None
+        if self.run_batcher is not None and submissions:
+            runtimes = self._run_batch([(idx, batch) for idx, _, batch in submissions])
+            for (_, execution, _), values in zip(submissions, runtimes):
+                execution.submit_prepared(values)
+        else:
+            for _, execution, _ in submissions:
+                self._step(execution, "submit", execution.submit_prepared)
+        ticking = self._surviving(ticking)
+        for execution in ticking:
+            self._step(execution, "checkpoint", execution.maybe_checkpoint)
+        self._active = [
+            execution
+            for execution in self._surviving(ticking)
+            if not execution.finished
+        ]
 
     # ------------------------------------------------------------ run batches
     def _run_batch(self, requests: List[Tuple[int, List[Configuration]]]) -> List:
@@ -735,66 +554,17 @@ class CampaignRunner:
             )
         return runtimes
 
-    #: Element budget of one fused GP scoring sheet (the ``(nc, Σn)``
-    #: cross-kernel).  Fusing amortises NumPy dispatch, but a sheet that
-    #: outgrows the CPU cache pays more in memory traffic than it saves in
-    #: call overhead (measured on the 1-CPU box), so big ticks are scored in
-    #: cache-sized chunks — still bit-identical, chunk composition only
-    #: changes wall-clock.  With spare ``step_workers`` the chunks of a
-    #: single-shard tick score concurrently (one cache-sized sheet per
-    #: core), which is the NUMA-friendly parallel decomposition.
-    gp_predict_chunk_elements = 8192
-
-
-class _ShardTick:
-    """One shard's complete batch tick: pipeline, local state, reductions.
-
-    The parallel runner steps each shard's per-tick pipeline (collect →
-    tell/fit → refresh → ask → score → submit → checkpoint) independently.
-    Everything a shard mutates *outside* its own campaigns lives here —
-    quarantine records, dropped ids, counter deltas, the surviving members —
-    and the runner reduces the contexts in shard order after all shards
-    return.  Fixed shard plan + fixed reduction order is the bit-identity
-    contract: no result, counter total or quarantine record depends on
-    worker count or thread timing.
-
-    This class is the former body of ``CampaignRunner.tick`` and its fleet
-    helpers, re-rooted so all tick-scoped mutable state is shard-local; with
-    one shard per tick (``step_shards=1``) it executes the historic
-    single-pipeline tick with global fusion groups, bit for bit.
-    """
-
-    def __init__(
-        self,
-        runner: "CampaignRunner",
-        members: List[CampaignExecution],
-        parallel_scoring: bool = False,
-    ):
-        self.runner = runner
-        self.members = members
-        #: Whether candidate scoring may use the runner's thread pool from
-        #: inside this shard.  Only ever true for a single-shard tick — a
-        #: shard already running *on* the pool submitting more work to it
-        #: could deadlock — and decided by the shard plan, not by timing,
-        #: so it cannot perturb bit-identity (scoring is bit-identical
-        #: chunked or not, threaded or not).
-        self.parallel_scoring = parallel_scoring
-        self.quarantined: List[QuarantinedCampaign] = []
-        self.dropped_ids: set = set()
-        self.counters: Dict[str, int] = defaultdict(int)
-        self.survivors: List[CampaignExecution] = []
-
     # ----------------------------------------------------------- error policy
     def _quarantine(
         self, execution: CampaignExecution, phase: str, error: BaseException
     ) -> None:
         """Isolate one failing campaign: checkpoint, record, drop from batch."""
-        index = self.runner._index_of[id(execution)]
-        self.dropped_ids.add(id(execution))
+        index = self._index_of[id(execution)]
+        self._dropped_ids.add(id(execution))
         self.quarantined.append(
             QuarantinedCampaign(
                 index=index,
-                label=self.runner.specs[index].label,
+                label=self.specs[index].label,
                 phase=phase,
                 error=error,
             )
@@ -816,160 +586,23 @@ class _ShardTick:
         try:
             return call()
         except Exception as error:
-            if self.runner.on_campaign_error != "quarantine":
+            if self.on_campaign_error != "quarantine":
                 raise
             self._quarantine(execution, phase, error)
             return _FAILED
 
-    def _surviving(self, executions: List[CampaignExecution]) -> List[CampaignExecution]:
-        """Filter out campaigns quarantined earlier in this shard's tick."""
-        if not self.dropped_ids:
+    def _surviving(
+        self, executions: List[CampaignExecution]
+    ) -> List[CampaignExecution]:
+        """Filter out campaigns quarantined earlier in this tick."""
+        if not self._dropped_ids:
             return executions
-        return [e for e in executions if id(e) not in self.dropped_ids]
+        return [e for e in executions if id(e) not in self._dropped_ids]
 
-    # --------------------------------------------------------------- pipeline
-    def advance(self) -> "_ShardTick":
-        """Run the full per-tick pipeline over this shard's members.
-
-        Fleet-fusion groups are planned fresh from the shard's members
-        (:func:`~repro.service.grouping.plan_tick_groups`); campaigns that
-        finish or are quarantined during the tick are excluded from
-        :attr:`survivors`.  Returns ``self`` for executor mapping.
-        """
-        runner = self.runner
-        index_of = runner._index_of
-        ticking: List[CampaignExecution] = []
-        fit_due: List[CampaignExecution] = []
-        gp_due: List[CampaignExecution] = []
-        for execution in self.members:
-            completed = self._step(execution, "collect", execution.collect)
-            if completed is _FAILED:
-                continue
-            if completed is None:
-                # The campaign just finished: commit its final checkpoint
-                # so ``finished`` is durably recorded.
-                self._step(
-                    execution,
-                    "checkpoint",
-                    lambda e=execution: e.maybe_checkpoint(force=True),
-                )
-                continue
-            due = self._step(execution, "tell", execution.ingest_collected)
-            if due is _FAILED:
-                continue
-            if due:
-                if runner.batch_surrogate_fits and self._fleet_eligible(execution):
-                    fit_due.append(execution)
-                elif runner.batch_gp_fits and isinstance(
-                    execution.optimizer.surrogate, GaussianProcessSurrogate
-                ):
-                    gp_due.append(execution)
-                else:
-                    self.counters["num_solo_fits"] += 1
-                    if (
-                        self._step(
-                            execution, "fit", execution.optimizer.fit_now
-                        )
-                        is _FAILED
-                    ):
-                        continue
-            if self._step(execution, "tell", execution.charge_tell) is _FAILED:
-                continue
-            ticking.append(execution)
-        self._fit_fleet(self._surviving(fit_due))
-        self._fit_gp_fleet(self._surviving(gp_due))
-        ticking = self._surviving(ticking)
-        self._refresh_priors(self._surviving(ticking))
-        ticking = self._surviving(ticking)
-
-        # ---- ask: fused candidate generation (the fleet ask), fused scoring
-        if runner.batch_asks:
-            pairs = self._begin_asks_fleet(ticking)
-        else:
-            pairs = []
-            for execution in ticking:
-                prepared = self._step(execution, "ask", execution.begin_ask)
-                if prepared is not _FAILED:
-                    pairs.append((execution, prepared))
-        scored: Dict[int, Tuple] = {}
-        if runner.batch_candidate_scoring:
-            fused = [
-                (execution, prepared)
-                for execution, prepared in pairs
-                if prepared is not None
-                and prepared.proposals is None
-                and prepared.wants_scores
-                and isinstance(execution.optimizer.surrogate, RandomForestSurrogate)
-            ]
-            # Campaigns may tune different spaces: fuse only pools of
-            # equal encoded width (the traversal stacks the matrices).
-            for group in plan_tick_groups(
-                fused, key_of=lambda pair: int(pair[1].encoded.shape[1])
-            ):
-                if not group.fused:
-                    continue
-                results = predict_forest_fleet(
-                    [
-                        (execution.optimizer.surrogate, prepared.encoded)
-                        for execution, prepared in group.members
-                    ]
-                )
-                scored.update(
-                    (id(execution), result)
-                    for (execution, _), result in zip(group.members, results)
-                )
-            self._score_gp_fleet(pairs, scored)
-
-        # With spare workers (single-shard tick), solo candidate scoring
-        # inside finish_ask parallelises over its score_shards through the
-        # optimizer's own score_executor hook — temporarily wired to the
-        # runner's pool for optimizers that shard but have no executor.
-        wired = []
-        if self.parallel_scoring:
-            for execution, prepared in pairs:
-                optimizer = execution.optimizer
-                if (
-                    optimizer.score_executor is None
-                    and optimizer.score_shards > 1
-                ):
-                    optimizer.score_executor = runner._executor()
-                    wired.append(optimizer)
-        try:
-            # ---- submit: batch the run-function calls when a batcher is given
-            submissions: List[Tuple[int, CampaignExecution, List[Configuration]]] = []
-            for execution, prepared in pairs:
-                scores = scored.get(id(execution))
-                if scores is not None:
-                    batch = self._step(
-                        execution,
-                        "ask",
-                        lambda e=execution, s=scores: e.finish_ask(*s),
-                    )
-                else:
-                    batch = self._step(execution, "ask", execution.finish_ask)
-                if batch is not None and batch is not _FAILED:
-                    submissions.append((index_of[id(execution)], execution, batch))
-        finally:
-            for optimizer in wired:
-                optimizer.score_executor = None
-        if runner.run_batcher is not None and submissions:
-            with runner._batcher_lock:
-                runtimes = runner._run_batch(
-                    [(idx, batch) for idx, _, batch in submissions]
-                )
-            for (_, execution, _), values in zip(submissions, runtimes):
-                execution.submit_prepared(values)
-        else:
-            for _, execution, _ in submissions:
-                self._step(execution, "submit", execution.submit_prepared)
-        for execution in self._surviving(ticking):
-            self._step(execution, "checkpoint", execution.maybe_checkpoint)
-        self.survivors = [
-            execution
-            for execution in self._surviving(ticking)
-            if not execution.finished
-        ]
-        return self
+    def _solo_fit(self, execution: CampaignExecution):
+        """Refit one campaign's surrogate on its own (the fleet of one)."""
+        self.num_solo_fits += 1
+        return self._step(execution, "fit", execution.optimizer.fit_now)
 
     # --------------------------------------------------------------- fleet ask
     def _begin_asks_fleet(self, ticking: List[CampaignExecution]) -> List[Tuple]:
@@ -1028,12 +661,12 @@ class _ShardTick:
                     [(execution.optimizer, n) for execution, n in group.members]
                 )
             except Exception:
-                if self.runner.on_campaign_error != "quarantine":
+                if self.on_campaign_error != "quarantine":
                     raise
                 solo(group.members)
                 continue
-            self.counters["num_ask_fleet_passes"] += 1
-            self.counters["num_ask_fleet_members"] += len(group.members)
+            self.num_ask_fleet_passes += 1
+            self.num_ask_fleet_members += len(group.members)
             for (execution, _), prepared in zip(group.members, prepared_list):
                 accepted = self._step(
                     execution,
@@ -1071,8 +704,7 @@ class _ShardTick:
                 # A single campaign (or a degenerate shared-surrogate setup):
                 # the sequential path is the fleet of one.
                 for execution in group.members:
-                    self.counters["num_solo_fits"] += 1
-                    self._step(execution, "fit", execution.optimizer.fit_now)
+                    self._solo_fit(execution)
                 continue
             try:
                 fit_forest_fleet(
@@ -1082,7 +714,7 @@ class _ShardTick:
                     ]
                 )
             except Exception:
-                if self.runner.on_campaign_error != "quarantine":
+                if self.on_campaign_error != "quarantine":
                     raise
                 # Degrade to solo refits; only campaigns whose solo fit also
                 # fails are quarantined.
@@ -1091,8 +723,8 @@ class _ShardTick:
                 continue
             for execution in group.members:
                 execution.optimizer.mark_fitted()
-            self.counters["num_fleet_fits"] += 1
-            self.counters["num_fleet_fitted_surrogates"] += len(group.members)
+            self.num_fleet_fits += 1
+            self.num_fleet_fitted_surrogates += len(group.members)
 
     def _fit_gp_fleet(self, fit_due: List[CampaignExecution]) -> None:
         """Fit the due GP surrogates, grouped by fleet mode and shape.
@@ -1123,8 +755,7 @@ class _ShardTick:
         ):
             if not group.fused:
                 for execution, _, _ in group.members:
-                    self.counters["num_solo_fits"] += 1
-                    self._step(execution, "fit", execution.optimizer.fit_now)
+                    self._solo_fit(execution)
                 continue
             try:
                 fleet = GPFleet(
@@ -1141,22 +772,63 @@ class _ShardTick:
                             for execution, _, y in group.members
                         ],
                     )
-                    self.counters["num_gp_fleet_extends"] += 1
+                    self.num_gp_fleet_extends += 1
                 else:
                     fleet.fit(
                         [X for _, X, _ in group.members],
                         [y for _, _, y in group.members],
                     )
-                    self.counters["num_gp_fleet_full_fits"] += 1
+                    self.num_gp_fleet_full_fits += 1
             except Exception:
-                if self.runner.on_campaign_error != "quarantine":
+                if self.on_campaign_error != "quarantine":
                     raise
                 for execution, _, _ in group.members:
                     self._step(execution, "fit", execution.optimizer.fit_now)
                 continue
             for execution, _, _ in group.members:
                 execution.optimizer.mark_fitted()
-            self.counters["num_gp_fleet_members"] += len(group.members)
+            self.num_gp_fleet_members += len(group.members)
+
+    # ---------------------------------------------------------- fused scoring
+    def _score_rf_fleet(self, pairs, scored: Dict[int, Tuple]) -> None:
+        """Score the tick's RF candidate pools in fused forest traversals.
+
+        Campaigns may tune different spaces, so only pools of equal encoded
+        width fuse (the traversal stacks the matrices); singleton groups
+        score their own pools inside ``finish_ask``.
+        """
+        fused = [
+            (execution, prepared)
+            for execution, prepared in pairs
+            if prepared is not None
+            and prepared.proposals is None
+            and prepared.wants_scores
+            and isinstance(execution.optimizer.surrogate, RandomForestSurrogate)
+        ]
+        for group in plan_tick_groups(
+            fused, key_of=lambda pair: int(pair[1].encoded.shape[1])
+        ):
+            if not group.fused:
+                continue
+            results = predict_forest_fleet(
+                [
+                    (execution.optimizer.surrogate, prepared.encoded)
+                    for execution, prepared in group.members
+                ]
+            )
+            scored.update(
+                (id(execution), result)
+                for (execution, _), result in zip(group.members, results)
+            )
+
+    #: Element budget of one fused GP scoring sheet (the ``(nc, Σn)``
+    #: cross-kernel).  Fusing amortises NumPy dispatch, but a sheet that
+    #: outgrows the CPU cache pays more in memory traffic than it saves in
+    #: call overhead (measured on the 1-CPU box), so big ticks are scored in
+    #: cache-sized chunks — still bit-identical, chunk composition only
+    #: changes wall-clock.  With ``step_workers > 1`` the chunks score
+    #: concurrently (one cache-sized sheet per core).
+    gp_predict_chunk_elements = 8192
 
     def _score_gp_fleet(self, pairs, scored: Dict[int, Tuple]) -> None:
         """Fuse the tick's GP-backed candidate scoring where shapes align.
@@ -1166,10 +838,9 @@ class _ShardTick:
         cross-kernel pass — bit-identical per campaign to solo scoring;
         training-set sizes may be ragged (the fused cross-kernel works on
         concatenated training rows).  Singleton groups fall through to the
-        per-campaign path.  A single-shard tick with spare workers scores
-        its cache-sized chunks concurrently on the runner's thread pool;
-        results merge in chunk order, so the threading is invisible in the
-        outputs.
+        per-campaign path.  With ``step_workers > 1`` the cache-sized chunks
+        score concurrently on the runner's thread pool; results merge in
+        chunk order, so the threading is invisible in the outputs.
         """
         pool = [
             (execution, prepared)
@@ -1194,31 +865,20 @@ class _ShardTick:
             ]
 
             def score_chunk(chunk):
-                return GPFleet(
-                    [execution.optimizer.surrogate for execution, _ in chunk]
-                ).predict([prepared.encoded for _, prepared in chunk])
+                try:
+                    return GPFleet(
+                        [execution.optimizer.surrogate for execution, _ in chunk]
+                    ).predict([prepared.encoded for _, prepared in chunk])
+                except Exception as error:
+                    return error
 
-            if self.parallel_scoring and len(chunks) > 1:
-                futures = [
-                    self.runner._executor().submit(score_chunk, chunk)
-                    for chunk in chunks
-                ]
-                outcomes = []
-                for future in futures:
-                    try:
-                        outcomes.append(future.result())
-                    except Exception as error:
-                        outcomes.append(error)
+            if self.step_workers > 1 and len(chunks) > 1:
+                outcomes = list(self._executor().map(score_chunk, chunks))
             else:
-                outcomes = []
-                for chunk in chunks:
-                    try:
-                        outcomes.append(score_chunk(chunk))
-                    except Exception as error:
-                        outcomes.append(error)
+                outcomes = [score_chunk(chunk) for chunk in chunks]
             for chunk, outcome in zip(chunks, outcomes):
                 if isinstance(outcome, Exception):
-                    if self.runner.on_campaign_error != "quarantine":
+                    if self.on_campaign_error != "quarantine":
                         raise outcome
                     # Fused scoring is an optimisation: members without fused
                     # scores simply score their own pools inside finish_ask.
@@ -1227,7 +887,7 @@ class _ShardTick:
                     (id(execution), result)
                     for (execution, _), result in zip(chunk, outcome)
                 )
-                self.counters["num_gp_fleet_predicts"] += 1
+                self.num_gp_fleet_predicts += 1
 
     def _chunk_gp_predicts(self, num_candidates: int, group: List) -> List[List]:
         """Split one scoring group into cache-sized fused chunks.
@@ -1248,7 +908,7 @@ class _ShardTick:
         chunks: List[List] = []
         current: List = []
         elements = 0
-        budget = self.runner.gp_predict_chunk_elements
+        budget = self.gp_predict_chunk_elements
         for member_elements, item in sized:
             if current and elements + member_elements > budget:
                 chunks.append(current)
@@ -1279,21 +939,16 @@ class _ShardTick:
                 due.append((execution, prepared))
         if not due:
             return
-        self.counters["num_prior_refreshes"] += len(due)
-        if self.runner.batch_vae_fits:
-            def refresh_key(pair):
-                prepared = pair[1]
-                return vae_fleet_key(
-                    prepared.vae,
-                    prepared.design.shape[0],
-                    prepared.epochs,
-                    prepared.batch_size,
-                )
-        else:
-            def refresh_key(pair):
-                return (id(pair[0]),)
+        self.num_prior_refreshes += len(due)
         for group in plan_tick_groups(
-            due, key_of=refresh_key, identity_of=lambda pair: id(pair[1].vae)
+            due,
+            key_of=lambda pair: vae_fleet_key(
+                pair[1].vae,
+                pair[1].design.shape[0],
+                pair[1].epochs,
+                pair[1].batch_size,
+            ),
+            identity_of=lambda pair: id(pair[1].vae),
         ):
             if not group.fused:
                 for execution, prepared in group.members:
@@ -1318,7 +973,7 @@ class _ShardTick:
                     batch_size=first.batch_size,
                 )
             except Exception:
-                if self.runner.on_campaign_error != "quarantine":
+                if self.on_campaign_error != "quarantine":
                     raise
                 # A failed fused pass leaves the fresh VAEs half-trained;
                 # re-prepare and train each solo (deterministic per-refresh
@@ -1328,8 +983,8 @@ class _ShardTick:
                         execution, "refresh", execution.refresh_prior_if_due
                     )
                 continue
-            self.counters["num_vae_fleet_fits"] += 1
-            self.counters["num_vae_fleet_members"] += len(group.members)
+            self.num_vae_fleet_fits += 1
+            self.num_vae_fleet_members += len(group.members)
             for execution, prepared in group.members:
                 self._finish_refresh(execution, prepared)
 
@@ -1340,73 +995,6 @@ class _ShardTick:
             "refresh",
             lambda e=execution, p=prepared: e.finish_prior_refresh(p),
         )
-
-
-def _run_spec_shard(runner: CampaignRunner, indices: List[int], sender) -> None:
-    """Child-process entry point of the process backend: run one spec shard.
-
-    Runs a sequential :class:`CampaignRunner` over the shard's specs and
-    sends back a scalars-only payload — counters, quarantine records (spec
-    indices remapped to the parent's numbering) and per-result summaries.
-    Histories never cross the pipe: the parent rebuilds them from each
-    spec's journal through the mmap reader.
-    """
-    try:
-        specs = [runner.specs[index] for index in indices]
-        child = CampaignRunner(
-            specs,
-            batch_surrogate_fits=runner.batch_surrogate_fits,
-            batch_candidate_scoring=runner.batch_candidate_scoring,
-            batch_vae_fits=runner.batch_vae_fits,
-            batch_gp_fits=runner.batch_gp_fits,
-            batch_asks=runner.batch_asks,
-            run_batcher=runner.run_batcher,
-            on_campaign_error=runner.on_campaign_error,
-            step_workers=1,
-            step_backend="thread",
-        )
-        child.run()
-        summaries = []
-        for result in child.results():
-            if result is None:
-                summaries.append(None)
-                continue
-            summaries.append(
-                {
-                    "best_configuration": result.best_configuration,
-                    "best_runtime": result.best_runtime,
-                    "best_objective": result.best_objective,
-                    "worker_utilization": result.worker_utilization,
-                    "search_time": result.search_time,
-                    "num_workers": result.num_workers,
-                }
-            )
-        counter_names = [
-            name
-            for name in vars(child)
-            if name.startswith("num_") and name != "num_ticks"
-        ]
-        sender.send(
-            {
-                "error": None,
-                "num_ticks": child.num_ticks,
-                "counters": {
-                    name: getattr(child, name) for name in counter_names
-                },
-                "quarantined": [
-                    (indices[q.index], q.label, q.phase, repr(q.error))
-                    for q in child.quarantined
-                ],
-                "results": summaries,
-            }
-        )
-    except BaseException as error:  # pragma: no cover - exercised via parent
-        try:
-            sender.send({"error": f"{type(error).__name__}: {error}"})
-        except Exception:
-            pass
-    finally:
-        sender.close()
 
 
 class ElasticCampaignRunner(CampaignRunner):
@@ -1449,40 +1037,15 @@ class ElasticCampaignRunner(CampaignRunner):
         self,
         max_inflight: Optional[int] = None,
         max_inflight_per_tenant: Optional[int] = None,
-        batch_surrogate_fits: bool = True,
-        batch_candidate_scoring: bool = True,
-        batch_vae_fits: bool = True,
-        batch_gp_fits: bool = True,
-        batch_asks: bool = True,
         run_batcher: Optional[Callable] = None,
         on_campaign_error: str = "raise",
-        step_workers: Optional[int] = None,
-        step_shards: Optional[int] = None,
-        step_backend: str = "thread",
+        step_workers: int = 1,
     ):
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if max_inflight_per_tenant is not None and max_inflight_per_tenant < 1:
             raise ValueError("max_inflight_per_tenant must be >= 1")
-        if step_backend == "process":
-            # The process backend forks whole-campaign shards for one
-            # complete run; an elastic fleet admits campaigns *between*
-            # ticks, which has no meaning across a fork boundary.
-            raise ValueError(
-                "ElasticCampaignRunner only supports step_backend='thread'"
-            )
-        self._configure(
-            batch_surrogate_fits=batch_surrogate_fits,
-            batch_candidate_scoring=batch_candidate_scoring,
-            batch_vae_fits=batch_vae_fits,
-            batch_gp_fits=batch_gp_fits,
-            batch_asks=batch_asks,
-            run_batcher=run_batcher,
-            on_campaign_error=on_campaign_error,
-            step_workers=step_workers,
-            step_shards=step_shards,
-            step_backend=step_backend,
-        )
+        self._configure(run_batcher, on_campaign_error, step_workers)
         self.max_inflight = max_inflight
         self.max_inflight_per_tenant = max_inflight_per_tenant
         #: Spec indices awaiting admission, in arrival order.

@@ -116,6 +116,26 @@ class TestAggregateTrajectories:
         assert np.all(traj["min"][mask] <= traj["mean"][mask] + 1e-9)
         assert np.all(traj["mean"][mask] <= traj["max"][mask] + 1e-9)
 
+    def test_grid_before_any_success_is_nan_without_warnings(
+        self, small_campaign, recwarn
+    ):
+        # t=0 precedes every repetition's first completion: an all-NaN
+        # column, which must aggregate to NaN without a RuntimeWarning.
+        traj = aggregate_trajectories(small_campaign.results, BUDGET, num_points=20)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        for name in ("mean", "min", "max"):
+            assert np.isnan(traj[name][0])
+        # The aggregated columns equal the nan-reductions computed directly.
+        grid = np.linspace(0.0, BUDGET, 20)
+        curves = np.array(
+            [r.history.incumbent_at(grid) for r in small_campaign.results]
+        )
+        curves[~np.isfinite(curves)] = np.nan
+        seen = ~np.isnan(curves).all(axis=0)
+        assert seen.any()
+        assert np.array_equal(traj["mean"][seen], np.nanmean(curves[:, seen], axis=0))
+        assert np.array_equal(traj["min"][seen], np.nanmin(curves[:, seen], axis=0))
+
 
 class TestTransferChain:
     def test_chain_runs_and_links_sources(self):

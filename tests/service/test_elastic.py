@@ -123,8 +123,7 @@ class TestElasticBitIdentity:
     def test_mid_flight_join_reforms_fleet_groups(self):
         """A same-kind campaign joining later still fuses with the cohort."""
         space = make_service_space()
-        # step_shards=1: the fusion counters below assume global groups.
-        runner = ElasticCampaignRunner(step_shards=1)
+        runner = ElasticCampaignRunner()
         runner.admit(make_spec("rf", 0, space))
         runner.admit(make_spec("rf", 1, space))
         runner.admit(make_spec("rf", 2, space), arrival_tick=4)

@@ -8,8 +8,11 @@ is bit-identical to ``CBOSearch.run``.  The HTTP cases run against a live
 :class:`~repro.service.StudyFrontend` thread on a loopback port.
 """
 
+import http.client
 import json
+import logging
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -31,6 +34,7 @@ from repro.service import (
     UnknownStudyError,
     UnknownTemplateError,
 )
+from repro.service.frontend import MAX_BODY_BYTES
 
 TEMPLATES = {"service": lambda seed=0, **params: make_service_search(seed, **params)}
 BUDGET = dict(max_time=600.0, max_evaluations=12)
@@ -176,13 +180,12 @@ class TestBatchedAskService:
 
     Managed studies admitted by the registry run through the elastic
     runner's batched ask; ask/tell studies re-derive suggestions after a
-    crash.  Neither protocol promise may depend on ``batch_asks``.
+    crash.  Neither protocol promise may depend on how asks are grouped.
     """
 
     def test_stale_studies_over_a_batched_managed_cohort(self):
         now = {"t": 0.0}
-        # step_shards=1: the ask-fleet counter below assumes global groups.
-        runner = ElasticCampaignRunner(batch_asks=True, step_shards=1)
+        runner = ElasticCampaignRunner()
         registry = make_registry(runner=runner, clock=lambda: now["t"])
         registry.create_study("a", mode="managed", **BUDGET)
         registry.create_study("b", mode="managed", seed=1, **BUDGET)
@@ -315,3 +318,121 @@ class TestHTTPFrontend:
         assert status["name"] == "b"
         assert status["seed"] == 1
         assert not status["finished"]
+
+
+def raw_request(address, path, headers, body=b"", method="POST"):
+    """Send a hand-built request (any header values), return (code, payload).
+
+    The socket timeout turns a server that blocks on the body into a test
+    failure instead of a hang.
+    """
+    url = urllib.parse.urlsplit(address)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        connection.putrequest(method, path)
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        if body:
+            connection.send(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
+def broken_template(seed=0, **params):
+    raise ZeroDivisionError("template bug")
+
+
+class TestServiceBoundary:
+    """Bad input is a 4xx that changes nothing; a fault is a logged 5xx.
+
+    Every case asserts a well-formed JSON reply — none may drop the
+    connection or block on the request body.
+    """
+
+    def test_uncoercible_create_value_is_400(self, frontend):
+        code, body = raw_post(
+            frontend.address + "/studies",
+            json.dumps({"name": "s", "template": "service", "seed": "abc"}).encode(),
+        )
+        assert code == 400
+        assert "abc" in body["error"]
+        assert frontend.registry.study_names() == []
+
+    def test_unknown_template_param_is_400(self, frontend):
+        code, body = raw_post(
+            frontend.address + "/studies",
+            json.dumps({"name": "s", "params": {"no_such_knob": 1}}).encode(),
+        )
+        assert code == 400
+        assert "no_such_knob" in body["error"]
+        code, body = raw_post(
+            frontend.address + "/studies",
+            json.dumps({"name": "s", "params": [1, 2]}).encode(),
+        )
+        assert code == 400
+        assert "params" in body["error"]
+        assert frontend.registry.study_names() == []
+
+    def test_uncoercible_runtime_is_400_and_leaves_the_batch(self, frontend):
+        client = HTTPStudyClient(frontend.address, "tune-1", **BUDGET)
+        batch = client.suggest()
+        before = frontend.registry.status("tune-1")
+        runtimes = [50.0] * (len(batch) - 1) + [None]
+        code, body = raw_post(
+            frontend.address + "/studies/tune-1/report",
+            json.dumps({"runtimes": runtimes}).encode(),
+        )
+        assert code == 400
+        assert "runtimes" in body["error"]
+        # Nothing was recorded: the batch is still outstanding, unchanged.
+        after = frontend.registry.status("tune-1")
+        assert after["num_reported"] == before["num_reported"] == 0
+        assert after["num_evaluations"] == before["num_evaluations"]
+        assert client.suggest() == batch
+        client.report([50.0] * len(batch))
+
+    def test_negative_content_length_is_400_without_reading(self, frontend):
+        code, body = raw_request(
+            frontend.address, "/studies", {"Content-Length": "-1"}
+        )
+        assert code == 400
+        assert "Content-Length" in body["error"]
+        assert frontend.registry.study_names() == []
+
+    def test_oversized_body_is_413_without_reading(self, frontend):
+        # The declared body is never sent: a server that tried to read it
+        # would block until the client's timeout.
+        code, body = raw_request(
+            frontend.address,
+            "/studies",
+            {"Content-Length": str(MAX_BODY_BYTES + 1)},
+        )
+        assert code == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert frontend.registry.study_names() == []
+
+    def test_internal_fault_is_500_with_a_logged_error_id(self, caplog):
+        registry = CampaignRegistry(dict(TEMPLATES, broken=broken_template))
+        with StudyFrontend(registry) as server:
+            with caplog.at_level(logging.ERROR, logger="repro.service.frontend"):
+                code, body = raw_post(
+                    server.address + "/studies",
+                    json.dumps({"name": "s", "template": "broken"}).encode(),
+                )
+            assert code == 500
+            error_id = body["error_id"]
+            assert error_id in body["error"]
+            assert "template bug" not in body["error"]
+            records = [r for r in caplog.records if error_id in r.getMessage()]
+            assert len(records) == 1
+            assert records[0].exc_info[0] is ZeroDivisionError
+            assert registry.study_names() == []
+            # The server keeps serving after the fault.
+            code, _ = raw_post(
+                server.address + "/studies",
+                json.dumps({"name": "s", "template": "service"}).encode(),
+            )
+            assert code == 201

@@ -1,23 +1,21 @@
-"""Parallel tick stepping: the bit-identity contract under stress.
+"""Parallel scoring: the bit-identity contract under stress.
 
-The multi-core runner's acceptance property: for any ``step_workers``/
-``step_shards`` (threads), and for the whole-campaign process backend, every
+The runner's ``step_workers`` thread pool scores a tick's GP chunks
+concurrently and serves as the ``score_executor`` of sharded-scoring
+optimizers.  Its acceptance property: for any ``step_workers``, every
 campaign's results, RNG stream and journal bytes are **bitwise identical**
-to the sequential runner — worker count may only change wall-clock time.
-The shard plan is a pure function of the active-set order and shard count,
-and shard results reduce in shard order, so nothing observable depends on
-thread timing.
+to ``step_workers=1`` — worker count may only change wall-clock time.
+Scoring results merge in chunk/shard order, so nothing observable depends
+on thread timing.
 
 The suites here drive that contract through mixed RF/GP/refresh cohorts,
-injected faults under quarantine, shared-pool affinity, a Hypothesis sweep
-over shard counts, and the process backend's journal-reconstructed results.
+shared worker pools, injected faults under quarantine, the elastic runner
+and a scoring failure's error context.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fixtures import (
     assert_results_identical,
@@ -102,22 +100,10 @@ class TestThreadBackendBitIdentity:
                 tmp_path / f"ref{i}"
             )
 
-    def test_shards_fewer_than_workers_and_vice_versa(self):
-        serial = CampaignRunner(make_mixed_specs(), step_workers=1).run()
-        # More shards than workers (queued shards) and more workers than
-        # shards (idle workers) are both just schedules of the same plan.
-        for workers, shards in [(2, 5), (4, 2), (3, 1)]:
-            parallel = CampaignRunner(
-                make_mixed_specs(), step_workers=workers, step_shards=shards
-            ).run()
-            for a, b in zip(serial, parallel):
-                assert_results_identical(a, b)
-
-    def test_shared_pool_campaigns_are_pinned_together(self):
+    def test_shared_pool_cohort_matches_serial(self):
         # Campaigns sharing one SharedWorkerPool compete for workers on one
-        # clock; the shard plan must keep them in one shard so their event
-        # interleaving replays in arrival order.  Identity target: the same
-        # shared-pool cohort run serially.
+        # clock; parallel scoring must not perturb their event interleaving.
+        # Identity target: the same shared-pool cohort run serially.
         def shared_specs():
             pool = SharedWorkerPool(num_workers=8)
             specs = [
@@ -131,19 +117,51 @@ class TestThreadBackendBitIdentity:
                 )
                 for i in range(4)
             ]
-            # Two private-pool campaigns interleaved: only the shared four
-            # carry affinity.
+            # Two private-pool campaigns interleaved with the shared four.
             specs.insert(1, CampaignSpec(search=make_service_search(seed=50), **BUDGET))
             specs.append(CampaignSpec(search=make_gp_search(seed=51), **BUDGET))
             return specs
 
         # Constructed fresh per run: pools and searches are stateful.
         serial = CampaignRunner(shared_specs(), step_workers=1).run()
-        parallel = CampaignRunner(
-            shared_specs(), step_workers=4, step_shards=4
-        ).run()
+        parallel = CampaignRunner(shared_specs(), step_workers=4).run()
         for a, b in zip(serial, parallel):
             assert_results_identical(a, b)
+
+    def test_pooled_gp_chunks_and_score_shards_match_serial(self):
+        # Both uses of the pool: six equal-shape GP pools fuse into several
+        # cache-sized chunks (budget shrunk so two members fill one) that
+        # score concurrently, and two odd-sized pools score solo, their
+        # score shards mapped over the runner's pool.
+        def run(step_workers):
+            space = make_service_space()
+            specs = [
+                CampaignSpec(
+                    search=make_gp_search(
+                        200 + i,
+                        space,
+                        num_candidates=32 if i < 6 else 30 + i,
+                        score_shards=2,
+                    ),
+                    **BUDGET,
+                )
+                for i in range(8)
+            ]
+            runner = CampaignRunner(specs, step_workers=step_workers)
+            runner.gp_predict_chunk_elements = 2000
+            return runner, runner.run(), specs
+
+        serial_runner, serial, serial_specs = run(1)
+        parallel_runner, parallel, parallel_specs = run(4)
+        for a, b in zip(serial, parallel):
+            assert_results_identical(a, b)
+        for a, b in zip(serial_specs, parallel_specs):
+            assert rng_state(a) == rng_state(b)
+        assert parallel_runner.num_gp_fleet_predicts > 0
+        assert (
+            parallel_runner.num_gp_fleet_predicts
+            == serial_runner.num_gp_fleet_predicts
+        )
 
     def test_injected_faults_quarantine_identically(self):
         def explode_after(limit):
@@ -193,24 +211,6 @@ class TestThreadBackendBitIdentity:
                 continue
             assert_results_identical(a, b)
 
-    @settings(max_examples=8, deadline=None)
-    @given(
-        step_shards=st.integers(min_value=1, max_value=7),
-        n=st.integers(min_value=2, max_value=5),
-    )
-    def test_any_shard_count_is_bit_identical(self, step_shards, n):
-        budget = dict(max_time=500.0, max_evaluations=14)
-        serial = CampaignRunner(
-            make_mixed_specs(n=n, budget=budget), step_workers=1
-        ).run()
-        parallel = CampaignRunner(
-            make_mixed_specs(n=n, budget=budget),
-            step_workers=2,
-            step_shards=step_shards,
-        ).run()
-        for a, b in zip(serial, parallel):
-            assert_results_identical(a, b)
-
 
 class TestElasticParallelStep:
     def test_elastic_parallel_matches_serial(self):
@@ -221,43 +221,6 @@ class TestElasticParallelStep:
             return runner.run_until_complete()
 
         for a, b in zip(run_with(1), run_with(4)):
-            assert_results_identical(a, b)
-
-    def test_elastic_rejects_process_backend(self):
-        with pytest.raises(ValueError, match="thread"):
-            ElasticCampaignRunner(step_backend="process")
-
-
-class TestProcessBackend:
-    def test_process_shards_match_serial(self, tmp_path):
-        serial = CampaignRunner(make_mixed_specs(n=4), step_workers=1).run()
-        specs = make_mixed_specs(n=4)
-        for i, spec in enumerate(specs):
-            spec.journal_dir = tmp_path / f"c{i}"
-        runner = CampaignRunner(specs, step_workers=2, step_backend="process")
-        results = runner.run()
-        for a, b in zip(serial, results):
-            assert_results_identical(a, b)
-        # results() serves the same process-run outcome after the fact.
-        for a, b in zip(results, runner.results()):
-            assert_results_identical(a, b)
-        assert runner.num_ticks > 0
-
-    def test_process_backend_requires_journals(self):
-        runner = CampaignRunner(
-            make_mixed_specs(n=2), step_workers=2, step_backend="process"
-        )
-        with pytest.raises(ValueError, match="journal"):
-            runner.run()
-
-    def test_single_worker_process_backend_runs_inline(self, tmp_path):
-        # step_workers=1 short-circuits to the in-process path even with the
-        # process backend selected — no fork for a serial run.
-        serial = CampaignRunner(make_mixed_specs(n=2), step_workers=1).run()
-        inline = CampaignRunner(
-            make_mixed_specs(n=2), step_workers=1, step_backend="process"
-        ).run()
-        for a, b in zip(serial, inline):
             assert_results_identical(a, b)
 
 
@@ -289,13 +252,14 @@ class TestScoringErrorContext:
             score_shards=4,  # shards are 48/4 = 12 rows → explode
             seed=1,
         )
+        # The healthy campaign is a GP one, so the doomed RF campaign's
+        # pool is a fused-scoring group of one and scores solo, shard by
+        # shard, through its own predict.
         specs = [
-            CampaignSpec(search=make_service_search(seed=0), label="good", **BUDGET),
+            CampaignSpec(search=make_gp_search(seed=0), label="good", **BUDGET),
             CampaignSpec(search=doomed, label="doomed", **BUDGET),
         ]
-        runner = CampaignRunner(
-            specs, on_campaign_error="quarantine", batch_candidate_scoring=False
-        )
+        runner = CampaignRunner(specs, on_campaign_error="quarantine")
         results = runner.run()
         assert [q.label for q in runner.quarantined] == ["doomed"]
         record = runner.quarantined[0]

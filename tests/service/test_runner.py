@@ -29,8 +29,7 @@ from repro.service import CampaignRunner, CampaignSpec, SharedWorkerPool
 
 
 class TestRunnerBitIdentity:
-    @pytest.mark.parametrize("batch_fits,batch_scoring", [(True, True), (True, False), (False, True), (False, False)])
-    def test_runner_matches_sequential_runs(self, batch_fits, batch_scoring):
+    def test_runner_matches_sequential_runs(self):
         space = make_space()
         sequential = [
             make_search(seed, space).run(max_time=600.0, max_evaluations=30)
@@ -45,21 +44,13 @@ class TestRunnerBitIdentity:
             )
             for seed in range(4)
         ]
-        runner = CampaignRunner(
-            specs,
-            batch_surrogate_fits=batch_fits,
-            batch_candidate_scoring=batch_scoring,
-            # Fusion counters below assume global groups: one shard per tick
-            # regardless of the REPRO_STEP_WORKERS matrix value.
-            step_shards=1,
-        )
+        runner = CampaignRunner(specs)
         batched = runner.run()
         assert len(batched) == 4
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
-        if batch_fits:
-            assert runner.num_fleet_fits > 0
-            assert runner.num_fleet_fitted_surrogates >= 2 * runner.num_fleet_fits
+        assert runner.num_fleet_fits > 0
+        assert runner.num_fleet_fitted_surrogates >= 2 * runner.num_fleet_fits
 
     def test_runner_with_gp_campaigns_matches_sequential(self):
         space = make_space()
@@ -237,8 +228,7 @@ class TestTransferCampaignFleet:
                     max_evaluations=32,
                 )
                 for seed in range(3)
-            ],
-            step_shards=1,  # the VAE-fleet counters assume global groups
+            ]
         )
         batched = runner.run()
         for a, b in zip(sequential, batched):
@@ -246,29 +236,6 @@ class TestTransferCampaignFleet:
         assert runner.num_prior_refreshes > 0
         assert runner.num_vae_fleet_fits > 0
         assert runner.num_vae_fleet_members <= runner.num_prior_refreshes
-
-    def test_batch_vae_fits_escape_hatch_matches(self):
-        space = make_space()
-        sequential = [
-            make_refresh_search(seed, space).run(max_time=600.0, max_evaluations=24)
-            for seed in range(2)
-        ]
-        runner = CampaignRunner(
-            [
-                CampaignSpec(
-                    search=make_refresh_search(seed, space),
-                    max_time=600.0,
-                    max_evaluations=24,
-                )
-                for seed in range(2)
-            ],
-            batch_vae_fits=False,
-        )
-        batched = runner.run()
-        for a, b in zip(sequential, batched):
-            assert_identical(a, b)
-        assert runner.num_prior_refreshes > 0
-        assert runner.num_vae_fleet_fits == 0
 
     def test_transfer_seeded_campaigns_refresh_in_the_runner(self):
         """Campaigns constructed with TransferLearningPriors keep refreshing
@@ -420,17 +387,12 @@ class TestGPFleetRunnerIdentity:
 
     The GP counterpart of the RF/VAE runner identity tests: batched GPFleet
     fits (stacked Cholesky full refits, concatenated factor extensions) and
-    fused posterior scoring must not change any campaign's results — the
-    ``batch_gp_fits``/``batch_candidate_scoring`` escape hatches reproduce the
-    same searches with the fusion off.  A reduced size runs in tier-1; the
-    full 8-campaign fleet is marked ``slow``.
+    fused posterior scoring must not change any campaign's results.  A
+    reduced size runs in tier-1; the full 8-campaign fleet is marked
+    ``slow``.
     """
 
-    @pytest.mark.parametrize(
-        "batch_gp_fits,batch_scoring",
-        [(True, True), (True, False), (False, True), (False, False)],
-    )
-    def test_gp_campaigns_match_sequential(self, batch_gp_fits, batch_scoring):
+    def test_gp_campaigns_match_sequential(self):
         space = make_space()
         sequential = [
             make_gp_search(seed, space, num_workers=6, n_initial_points=5).run(
@@ -446,25 +408,15 @@ class TestGPFleetRunnerIdentity:
                     max_evaluations=22,
                 )
                 for seed in range(3)
-            ],
-            batch_gp_fits=batch_gp_fits,
-            batch_candidate_scoring=batch_scoring,
-            step_shards=1,  # the GP-fleet counters assume global groups
+            ]
         )
         batched = runner.run()
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
         fleet_passes = runner.num_gp_fleet_extends + runner.num_gp_fleet_full_fits
-        if batch_gp_fits:
-            assert fleet_passes > 0
-            assert runner.num_gp_fleet_members >= 2 * fleet_passes
-        else:
-            assert fleet_passes == 0
-            assert runner.num_gp_fleet_members == 0
-        if batch_scoring and batch_gp_fits:
-            assert runner.num_gp_fleet_predicts > 0
-        if not batch_scoring:
-            assert runner.num_gp_fleet_predicts == 0
+        assert fleet_passes > 0
+        assert runner.num_gp_fleet_members >= 2 * fleet_passes
+        assert runner.num_gp_fleet_predicts > 0
 
     def test_mixed_rf_and_gp_fleet_campaigns(self):
         """RF and GP campaigns in one runner each fuse with their own kind."""
@@ -483,8 +435,7 @@ class TestGPFleetRunnerIdentity:
             [
                 CampaignSpec(search=s, max_time=500.0, max_evaluations=18)
                 for s in searches()
-            ],
-            step_shards=1,  # the fleet counters assume global groups
+            ]
         )
         batched = runner.run()
         for a, b in zip(sequential, batched):
