@@ -9,13 +9,16 @@ Scoring results merge in chunk/shard order, so nothing observable depends
 on thread timing.
 
 The suites here drive that contract through mixed RF/GP/refresh cohorts,
-shared worker pools, injected faults under quarantine, the elastic runner
-and a scoring failure's error context.
+shared worker pools, more or fewer workers than scoring chunks, a
+Hypothesis sweep over worker counts, injected faults under quarantine, the
+elastic runner and a scoring failure's error context.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     assert_results_identical,
@@ -162,6 +165,52 @@ class TestThreadBackendBitIdentity:
             parallel_runner.num_gp_fleet_predicts
             == serial_runner.num_gp_fleet_predicts
         )
+
+    def test_more_workers_than_chunks_and_vice_versa(self):
+        # Four equal-shape GP pools split into two cache-sized chunks once
+        # their training sets grow (budget shrunk): one worker scores both
+        # inline, two take one each, eight leave six idle.  All three are
+        # schedules of the same chunk list.
+        def run(step_workers):
+            space = make_service_space()
+            specs = [
+                CampaignSpec(
+                    search=make_gp_search(300 + i, space, num_candidates=32),
+                    **BUDGET,
+                )
+                for i in range(4)
+            ]
+            runner = CampaignRunner(specs, step_workers=step_workers)
+            runner.gp_predict_chunk_elements = 2000
+            return runner.run()
+
+        serial = run(1)
+        for workers in (2, 8):
+            for a, b in zip(serial, run(workers)):
+                assert_results_identical(a, b)
+
+    def test_results_after_run_match_the_returned_results(self):
+        runner = CampaignRunner(make_mixed_specs(n=3), step_workers=2)
+        returned = runner.run()
+        assert runner.num_ticks > 0
+        for a, b in zip(returned, runner.results()):
+            assert_results_identical(a, b)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        step_workers=st.integers(min_value=2, max_value=7),
+        n=st.integers(min_value=2, max_value=5),
+    )
+    def test_any_worker_count_is_bit_identical(self, step_workers, n):
+        budget = dict(max_time=500.0, max_evaluations=14)
+        serial = CampaignRunner(
+            make_mixed_specs(n=n, budget=budget), step_workers=1
+        ).run()
+        parallel = CampaignRunner(
+            make_mixed_specs(n=n, budget=budget), step_workers=step_workers
+        ).run()
+        for a, b in zip(serial, parallel):
+            assert_results_identical(a, b)
 
     def test_injected_faults_quarantine_identically(self):
         def explode_after(limit):

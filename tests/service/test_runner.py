@@ -7,7 +7,9 @@ per-campaign :class:`~repro.core.search.SearchResult`\\ s bit-identical to N
 sequential ``CBOSearch.run`` calls with the same seeds.
 """
 
+import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +27,12 @@ from repro.core.search import CBOSearch, VAEABOSearch
 from repro.core.space import IntegerParameter, RealParameter, SearchSpace
 from repro.core.surrogate import RandomForestSurrogate
 from repro.core.transfer import TransferLearningPrior
-from repro.service import CampaignRunner, CampaignSpec, SharedWorkerPool
+from repro.service import (
+    CampaignRunner,
+    CampaignSpec,
+    ElasticCampaignRunner,
+    SharedWorkerPool,
+)
 
 
 class TestRunnerBitIdentity:
@@ -113,6 +120,19 @@ class TestRunnerBitIdentity:
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
             CampaignRunner([])
+
+    def test_single_campaign_takes_the_solo_path(self):
+        """A fleet of one fuses nothing: every fit runs solo, results equal."""
+        space = make_space()
+        sequential = make_search(7, space).run(max_time=600.0, max_evaluations=30)
+        runner = CampaignRunner(
+            [CampaignSpec(search=make_search(7, space), max_time=600.0, max_evaluations=30)]
+        )
+        (batched,) = runner.run()
+        assert_identical(sequential, batched)
+        assert runner.num_fleet_fits == 0
+        assert runner.num_fleet_fitted_surrogates == 0
+        assert runner.num_solo_fits > 0
 
 
 class TestRunBatcher:
@@ -236,6 +256,27 @@ class TestTransferCampaignFleet:
         assert runner.num_prior_refreshes > 0
         assert runner.num_vae_fleet_fits > 0
         assert runner.num_vae_fleet_members <= runner.num_prior_refreshes
+
+    def test_single_refresh_campaign_refits_its_vae_solo(self):
+        """A refresh group of one trains its VAE through the solo path."""
+        space = make_space()
+        sequential = make_refresh_search(5, space).run(
+            max_time=600.0, max_evaluations=24
+        )
+        runner = CampaignRunner(
+            [
+                CampaignSpec(
+                    search=make_refresh_search(5, space),
+                    max_time=600.0,
+                    max_evaluations=24,
+                )
+            ]
+        )
+        (batched,) = runner.run()
+        assert_identical(sequential, batched)
+        assert runner.num_prior_refreshes > 0
+        assert runner.num_vae_fleet_fits == 0
+        assert runner.num_vae_fleet_members == 0
 
     def test_transfer_seeded_campaigns_refresh_in_the_runner(self):
         """Campaigns constructed with TransferLearningPriors keep refreshing
@@ -417,6 +458,28 @@ class TestGPFleetRunnerIdentity:
         assert fleet_passes > 0
         assert runner.num_gp_fleet_members >= 2 * fleet_passes
         assert runner.num_gp_fleet_predicts > 0
+
+    def test_single_gp_campaign_fits_and_scores_solo(self):
+        space = make_space()
+        sequential = make_gp_search(4, space, num_workers=6, n_initial_points=5).run(
+            max_time=600.0, max_evaluations=22
+        )
+        runner = CampaignRunner(
+            [
+                CampaignSpec(
+                    search=make_gp_search(4, space, num_workers=6, n_initial_points=5),
+                    max_time=600.0,
+                    max_evaluations=22,
+                )
+            ]
+        )
+        (batched,) = runner.run()
+        assert_identical(sequential, batched)
+        assert runner.num_gp_fleet_full_fits == 0
+        assert runner.num_gp_fleet_extends == 0
+        assert runner.num_gp_fleet_members == 0
+        assert runner.num_gp_fleet_predicts == 0
+        assert runner.num_solo_fits > 0
 
     def test_mixed_rf_and_gp_fleet_campaigns(self):
         """RF and GP campaigns in one runner each fuse with their own kind."""
@@ -634,3 +697,76 @@ class TestQuarantineAndRunnerJournal:
         specs = [CampaignSpec(search=make_search(0, space), max_time=100.0)]
         with pytest.raises(ValueError, match="on_campaign_error"):
             CampaignRunner(specs, on_campaign_error="ignore")
+
+
+class TestRunnerOptions:
+    """The runners' option surface: exactly these knobs, each validated."""
+
+    OPTIONS = {
+        CampaignRunner: ["specs", "run_batcher", "on_campaign_error", "step_workers"],
+        ElasticCampaignRunner: [
+            "max_inflight",
+            "max_inflight_per_tenant",
+            "run_batcher",
+            "on_campaign_error",
+            "step_workers",
+        ],
+    }
+
+    @pytest.mark.parametrize("runner_class", [CampaignRunner, ElasticCampaignRunner])
+    def test_option_surface_is_fixed(self, runner_class):
+        # Fusion is always on and ticks are never sharded: no switch for
+        # either, and no **kwargs through which one could slip back in.
+        params = inspect.signature(runner_class.__init__).parameters
+        assert list(params)[1:] == self.OPTIONS[runner_class]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+    @pytest.mark.parametrize("step_workers", [0, -2])
+    def test_step_workers_must_be_positive(self, step_workers):
+        specs = [CampaignSpec(search=make_search(0), max_time=100.0)]
+        with pytest.raises(ValueError, match="step_workers"):
+            CampaignRunner(specs, step_workers=step_workers)
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("max_inflight", 0),
+            ("max_inflight_per_tenant", 0),
+            ("step_workers", 0),
+            ("on_campaign_error", "ignore"),
+        ],
+    )
+    def test_elastic_options_are_validated(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            ElasticCampaignRunner(**{option: value})
+
+    def test_scoring_pool_threads_end_with_the_run(self):
+        def scoring_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("repro-step")]
+
+        before = scoring_threads()
+        space = make_space()
+        specs = [
+            CampaignSpec(
+                # Odd-sized pools score solo, their shards on the pool.
+                search=make_gp_search(
+                    seed, space, num_candidates=30 + seed, score_shards=2
+                ),
+                max_time=300.0,
+                max_evaluations=12,
+            )
+            for seed in range(3)
+        ]
+        seen = []
+
+        def batcher(requests):
+            # Runs mid-tick, after scoring: the pool's threads are alive.
+            seen.append(len(scoring_threads()) - len(before))
+            return [[run_function(c) for c in configs] for _, configs in requests]
+
+        runner = CampaignRunner(specs, run_batcher=batcher, step_workers=3)
+        runner.run()
+        assert max(seen) > 0
+        assert scoring_threads() == before
+        runner.close()  # idempotent once the run has closed the pool
+        assert scoring_threads() == before
