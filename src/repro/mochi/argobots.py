@@ -111,6 +111,7 @@ class Pool:
             self._resource = Resource(env, capacity=self.num_xstreams, name=f"pool:{name}")
         self.items_executed = 0
         self.busy_time = 0.0
+        self._created = env.now
 
     # ------------------------------------------------------------- properties
     @property
@@ -138,8 +139,11 @@ class Pool:
         return float(self.num_xstreams) if self.busy_spins_when_idle else 0.0
 
     def utilization(self, horizon: Optional[float] = None) -> float:
-        """Fraction of stream-time spent executing work items."""
-        elapsed = horizon if horizon is not None else self.env.now
+        """Fraction of stream-time spent executing work items.
+
+        ``horizon`` defaults to the simulated time since the pool was created.
+        """
+        elapsed = horizon if horizon is not None else self.env.now - self._created
         if elapsed <= 0:
             return 0.0
         return self.busy_time / (elapsed * self.num_xstreams)

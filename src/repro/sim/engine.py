@@ -18,12 +18,16 @@ Design notes
 * The engine is single-threaded and deterministic: with the same schedule of
   events it always produces the same trajectory, which is essential for
   reproducible benchmarks.
+* Every event that reaches the heap is dispatched by :meth:`Environment.step`,
+  so patching ``Environment.step`` observes all of them.  Events that would
+  fire at ``now`` with no callbacks (the release at the end of a
+  ``with resource.request()`` block) are not scheduled at all.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional
 
 __all__ = [
@@ -75,6 +79,8 @@ class Event:
         List of callables invoked when the event is processed.  ``None`` once
         the event has been processed.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -172,15 +178,21 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ("_delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        # Sets every ``Event`` slot itself and pushes the heap entry directly:
+        # a timeout is the most frequent event in the HEP workflow.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._triggered = True
-        env._schedule(self, delay=delay)
+        self._defused = False
+        self._delay = delay
+        heappush(env._heap, (env._now + delay, NORMAL_PRIORITY, next(env._seq), self))
 
     @property
     def delay(self) -> float:
@@ -190,6 +202,8 @@ class Timeout(Event):
 
 class _Condition(Event):
     """Base class for AllOf / AnyOf composite events."""
+
+    __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -221,6 +235,8 @@ class AllOf(_Condition):
     Fails immediately if any constituent fails.
     """
 
+    __slots__ = ()
+
     def _check(self, event: Event) -> None:
         if self._triggered:
             return
@@ -235,6 +251,8 @@ class AllOf(_Condition):
 
 class AnyOf(_Condition):
     """Fires when *any* constituent event has fired."""
+
+    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -299,9 +317,7 @@ class Environment:
     def _schedule(
         self, event: Event, delay: float = 0.0, priority: int = NORMAL_PRIORITY
     ) -> None:
-        heapq.heappush(
-            self._heap, (self._now + delay, priority, next(self._seq), event)
-        )
+        heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
@@ -319,7 +335,7 @@ class Environment:
         """
         if not self._heap:
             raise SimulationError("no scheduled events")
-        when, _priority, _seq, event = heapq.heappop(self._heap)
+        when, _priority, _seq, event = heappop(self._heap)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
@@ -345,10 +361,16 @@ class Environment:
             raise ValueError(
                 f"until ({until}) must not be before current time ({self._now})"
             )
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self._now = until
-                return
-            self.step()
-        if until is not None:
-            self._now = until
+        # ``step`` is looked up once per run, after any class-level patching,
+        # and still dispatches every event.
+        heap = self._heap
+        step = self.step
+        if until is None:
+            while heap:
+                step()
+            return
+        while heap:
+            if heap[0][0] > until:
+                break
+            step()
+        self._now = until

@@ -36,6 +36,8 @@ class Process(Event):
     next :meth:`Environment.step`.
     """
 
+    __slots__ = ("_generator", "_target")
+
     def __init__(self, env, generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(
@@ -49,8 +51,8 @@ class Process(Event):
         init._ok = True
         init._value = None
         init._triggered = True
-        env._schedule(init, delay=0.0)
-        init.add_callback(self._resume)
+        init.callbacks.append(self._resume)
+        env._schedule(init)
 
     # -------------------------------------------------------------- interface
     @property
@@ -93,43 +95,44 @@ class Process(Event):
             is_interrupt = event._ok is False and isinstance(event._value, Interrupt)
             if not is_interrupt:
                 return
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         target = event
         while True:
-            if target._ok is False:
-                # The failure is being delivered to this process, so it must
-                # not escalate out of Environment.step() as unhandled.
-                target._defused = True
             try:
                 if target._ok:
                     next_event = self._generator.send(target._value)
                 else:
+                    # The failure is being delivered to this process, so it
+                    # must not escalate out of Environment.step() as unhandled.
+                    target._defused = True
                     next_event = self._generator.throw(target._value)
             except StopIteration as stop:
-                self.env._active_process = None
+                env._active_process = None
                 self._target = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.env._active_process = None
+                env._active_process = None
                 self._target = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_event, Event):
-                self.env._active_process = None
+                env._active_process = None
                 error = SimulationError(
                     f"process yielded a non-event: {next_event!r}"
                 )
                 self.fail(error)
                 return
 
-            if next_event.processed:
+            callbacks = next_event.callbacks
+            if callbacks is None:
                 # The event already fired and ran callbacks; loop synchronously.
                 target = next_event
                 continue
 
             self._target = next_event
-            next_event.add_callback(self._resume)
-            self.env._active_process = None
+            callbacks.append(self._resume)
+            env._active_process = None
             return

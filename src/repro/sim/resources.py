@@ -15,6 +15,12 @@ Mochi/HEPnOS simulators:
 
 All blocking operations return :class:`~repro.sim.engine.Event` objects that a
 process must ``yield``.
+
+Leaving a ``with resource.request()`` block releases the request at once,
+without scheduling an event: nothing can wait on that release, and an event
+firing at ``now`` with no callbacks changes neither the clock nor the order
+of the events that remain.  Releasing a request that is still queued (its
+process was interrupted while waiting) withdraws it from the queue.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import itertools
 from collections import deque
 from typing import Any, Deque, List, Optional
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import NORMAL_PRIORITY, Environment, Event, SimulationError
 
 __all__ = ["Request", "Release", "Resource", "PriorityResource", "Store", "Container"]
 
@@ -39,6 +45,8 @@ class Request(Event):
             yield env.timeout(1.0)
     """
 
+    __slots__ = ("resource", "priority")
+
     def __init__(self, resource: "Resource", priority: int = 0):
         super().__init__(resource.env)
         self.resource = resource
@@ -49,11 +57,13 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.resource.release(self)
+        self.resource._do_release(self)
 
 
 class Release(Event):
     """Event representing a resource release (fires immediately)."""
+
+    __slots__ = ("resource", "request")
 
     def __init__(self, resource: "Resource", request: Request):
         super().__init__(resource.env)
@@ -85,6 +95,7 @@ class Resource:
         self.users: List[Request] = []
         self.queue: Deque[Request] = deque()
         # statistics
+        self._created = env.now
         self._busy_time = 0.0
         self._last_change = env.now
         self._granted = 0
@@ -115,7 +126,7 @@ class Resource:
             simulation time since the resource was created.
         """
         self._account()
-        elapsed = horizon if horizon is not None else (self.env.now - 0.0)
+        elapsed = horizon if horizon is not None else self.env.now - self._created
         if elapsed <= 0:
             return 0.0
         return self._busy_time / (elapsed * self.capacity)
@@ -126,12 +137,12 @@ class Resource:
         return Request(self, priority)
 
     def release(self, request: Request) -> Release:
-        """Release a previously granted request."""
+        """Release a granted request, or withdraw one that is still queued."""
         return Release(self, request)
 
     # --------------------------------------------------------------- internal
     def _account(self) -> None:
-        now = self.env.now
+        now = self.env._now
         self._busy_time += len(self.users) * (now - self._last_change)
         self._last_change = now
 
@@ -140,7 +151,12 @@ class Resource:
         if len(self.users) < self.capacity:
             self.users.append(request)
             self._granted += 1
-            request.succeed()
+            # Uncontended grant, the common case: push exactly the heap entry
+            # ``request.succeed()`` would, without its two calls.
+            request._ok = True
+            request._triggered = True
+            env = self.env
+            heapq.heappush(env._heap, (env._now, NORMAL_PRIORITY, next(env._seq), request))
         else:
             self._enqueue(request)
 
@@ -152,11 +168,21 @@ class Resource:
             return self.queue.popleft()
         return None
 
+    def _cancel(self, request: Request) -> bool:
+        """Withdraw a queued ``request``; False if it is not queued."""
+        try:
+            self.queue.remove(request)
+        except ValueError:
+            return False
+        return True
+
     def _do_release(self, request: Request) -> None:
         self._account()
         try:
             self.users.remove(request)
         except ValueError:
+            if self._cancel(request):
+                return
             raise SimulationError(
                 "released a request that does not hold the resource"
             ) from None
@@ -194,9 +220,19 @@ class PriorityResource(Resource):
             return heapq.heappop(self._pqueue)[2]
         return None
 
+    def _cancel(self, request: Request) -> bool:
+        for index, entry in enumerate(self._pqueue):
+            if entry[2] is request:
+                del self._pqueue[index]
+                heapq.heapify(self._pqueue)
+                return True
+        return False
+
 
 class StorePut(Event):
     """Pending put into a :class:`Store`."""
+
+    __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
@@ -207,6 +243,8 @@ class StorePut(Event):
 
 class StoreGet(Event):
     """Pending get from a :class:`Store`."""
+
+    __slots__ = ("filter_fn",)
 
     def __init__(self, store: "Store", filter_fn=None):
         super().__init__(store.env)
@@ -302,6 +340,8 @@ class Store:
 class ContainerPut(Event):
     """Pending put of an amount into a :class:`Container`."""
 
+    __slots__ = ("amount",)
+
     def __init__(self, container: "Container", amount: float):
         if amount <= 0:
             raise ValueError("amount must be positive")
@@ -313,6 +353,8 @@ class ContainerPut(Event):
 
 class ContainerGet(Event):
     """Pending get of an amount from a :class:`Container`."""
+
+    __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
         if amount <= 0:

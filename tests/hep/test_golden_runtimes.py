@@ -36,8 +36,9 @@ NOISE = 0.02
 FLOAT_FIELDS = ("runtime", "loader_time", "pep_time")
 EXACT_FIELDS = ("timed_out", "events_stored", "events_processed")
 
-#: Total ``Environment.step`` calls over the whole corpus.
-CORPUS_STEPS = 409086
+#: Total ``Environment.step`` calls over the whole corpus.  It was 409086
+#: while every ``with resource.request()`` exit still scheduled a ``Release``.
+CORPUS_STEPS = 316860
 
 
 def _load_corpus():

@@ -92,6 +92,19 @@ class TestPool:
         env.run(until=4.0)
         assert 0.45 < pool.utilization(horizon=4.0) < 0.55
 
+    def test_utilization_defaults_to_time_since_creation(self):
+        env = Environment()
+        env.run(until=100.0)
+        free = PoolCostModel(dispatch_overhead=0.0, wakeup_latency=0.0)
+        pool = Pool(env, num_xstreams=1, cost_model=free)
+
+        def work(env, pool):
+            yield from pool.execute(10.0)
+
+        env.process(work(env, pool))
+        env.run(until=110.0)
+        assert pool.utilization() == pytest.approx(1.0)
+
     def test_run_executes_nested_generator_and_returns_value(self):
         env = Environment()
         pool = Pool(env, num_xstreams=1)

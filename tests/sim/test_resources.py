@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, SimulationError, Store
+from repro.sim import (
+    Container,
+    Environment,
+    Interrupt,
+    PriorityResource,
+    Resource,
+    SimulationError,
+    Store,
+)
 
 
 class TestResource:
@@ -95,6 +103,21 @@ class TestResource:
         env.run(until=8.0)
         assert res.utilization(horizon=8.0) == pytest.approx(0.5)
 
+    def test_utilization_defaults_to_time_since_creation(self):
+        env = Environment()
+        env.run(until=100.0)
+        res = Resource(env, capacity=1)
+
+        def user(env, res):
+            with res.request() as req:
+                yield req
+                yield env.timeout(10.0)
+
+        env.process(user(env, res))
+        env.run(until=110.0)
+        assert res.utilization() == pytest.approx(1.0)
+        assert res.utilization(horizon=110.0) == pytest.approx(10.0 / 110.0)
+
     def test_granted_counter(self):
         env = Environment()
         res = Resource(env, capacity=1)
@@ -156,6 +179,75 @@ class TestPriorityResource:
         env.process(user(env, res, "second", 2.0))
         env.run()
         assert order == ["first", "second"]
+
+
+@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+class TestInterruptedWaiter:
+    """Interrupting a process queued for a resource withdraws its request."""
+
+    def test_interrupt_reaches_the_process_and_the_queue_empties(self, kind):
+        env = Environment()
+        res = kind(env, capacity=1)
+        log = []
+
+        def holder(env, res):
+            with res.request() as req:
+                yield req
+                yield env.timeout(10.0)
+
+        def waiter(env, res):
+            try:
+                with res.request() as req:
+                    yield req
+                    log.append("granted")
+            except Interrupt as exc:
+                log.append(exc.cause)
+
+        def late(env, res):
+            yield env.timeout(20.0)
+            with res.request() as req:
+                yield req
+                log.append(("late", env.now))
+                yield env.timeout(1.0)
+
+        env.process(holder(env, res))
+        victim = env.process(waiter(env, res))
+        env.process(late(env, res))
+        env.run(until=2.0)
+        assert res.queue_length == 1
+        victim.interrupt("stop")
+        env.run()
+        assert log == ["stop", ("late", 20.0)]
+        assert res.count == 0
+        assert res.queue_length == 0
+        assert res.granted == 2
+
+    def test_withdrawn_request_keeps_the_others_in_order(self, kind):
+        env = Environment()
+        res = kind(env, capacity=1)
+        order = []
+
+        def holder(env, res):
+            with res.request() as req:
+                yield req
+                yield env.timeout(10.0)
+
+        def user(env, res, name):
+            try:
+                with res.request(priority=1) as req:
+                    yield req
+                    order.append(name)
+                    yield env.timeout(1.0)
+            except Interrupt:
+                order.append(f"{name} interrupted")
+
+        env.process(holder(env, res))
+        users = {name: env.process(user(env, res, name)) for name in "abcd"}
+        env.run(until=1.0)
+        users["b"].interrupt()
+        env.run()
+        assert order == ["b interrupted", "a", "c", "d"]
+        assert res.count == 0
 
 
 class TestStore:
