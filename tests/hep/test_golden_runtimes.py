@@ -4,7 +4,8 @@
 default configuration plus 16 seeded random configurations, each evaluated
 with a seeded noise RNG, and a few shortened step time limits that make the
 loader or the event-selection step time out.  Float fields are stored as
-``float.hex`` so the comparison is exact, NaN included.
+``float.hex`` and the integer and boolean fields as JSON numbers and
+booleans, so every field compares exactly, NaN included.
 
 Any change to the simulation kernel or the Mochi/HEPnOS models must leave
 every entry unchanged.  Regenerate the corpus only for a change that is
@@ -41,10 +42,6 @@ EXACT_FIELDS = ("timed_out", "events_stored", "events_processed")
 CORPUS_STEPS = 316860
 
 
-def _load_corpus():
-    return json.loads(CORPUS_PATH.read_text())
-
-
 def _evaluate(entry):
     costs = DEFAULT_COSTS
     if entry["step_time_limit"] is not None:
@@ -67,7 +64,8 @@ def _id(entry):
     return f"{entry['setup']}-{entry['label']}{suffix}"
 
 
-CORPUS = _load_corpus() if CORPUS_PATH.exists() else []
+# Absent only while ``_generate`` writes the corpus for the first time.
+CORPUS = json.loads(CORPUS_PATH.read_text()) if CORPUS_PATH.exists() else []
 
 
 def test_corpus_covers_both_setups_and_timeouts():
