@@ -16,7 +16,8 @@ Two code paths are compared at each history size:
   row-major (dict) candidate sampling, per-element ``*_loop`` encoders,
   ``repr``-tuple dedup keys computed per candidate per ask, full-history
   re-encoding on every interaction, the recursive random-forest builder, and
-  a from-scratch O(n³) GP refit on every tell.
+  a from-scratch O(n³) GP refit on every tell.  Its pieces are the reference
+  implementations in ``tests/oracles``.
 
 A second section benchmarks the columnar :class:`~repro.core.history.SearchHistory`
 itself — append plus the derived aggregations (objectives, incumbent
@@ -45,16 +46,25 @@ from typing import Dict, List
 
 import numpy as np
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).parent))  # for `common` when run directly
+sys.path.insert(0, str(REPO_ROOT / "tests"))  # the legacy path's `oracles`
 
+from oracles import (
+    FullRefitGP,
+    RecursiveRandomForest,
+    RowHistoryReference,
+    repr_key,
+    to_numeric_array_loop,
+    to_one_hot_array_loop,
+    to_unit_array_loop,
+)
 from repro.core.history import SearchHistory
-from repro.core.history_reference import RowHistoryReference
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.space import SearchSpace
-from repro.core.surrogate import GaussianProcessSurrogate, RandomForestSurrogate
+from repro.core.surrogate import RandomForestSurrogate
 from repro.hep import HEPWorkflowProblem
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_ask_tell.json"
 
 SETUP = "4n-2s-20p"
@@ -75,14 +85,14 @@ class LegacyPathOptimizer(BayesianOptimizer):
     """
 
     def __init__(self, *args, **kwargs):
-        kwargs["incremental"] = False
         super().__init__(*args, **kwargs)
+        self._objectives = []
         self._legacy_keys = set()
 
     def _encode_loop(self, configs):
         if self.encoding == "one_hot":
-            return self.space.to_one_hot_array_loop(configs)
-        return self.space.to_numeric_array_loop(configs)
+            return to_one_hot_array_loop(self.space, configs)
+        return to_numeric_array_loop(self.space, configs)
 
     def tell(self, configurations, objectives):
         if len(configurations) != len(objectives):
@@ -93,7 +103,7 @@ class LegacyPathOptimizer(BayesianOptimizer):
         for config, obj in zip(configurations, objectives):
             self._configs.append(dict(config))
             self._objectives.append(self.objective.fill_failure(obj))
-            self._legacy_keys.add(self._key(config))
+            self._legacy_keys.add(repr_key(config))
             self._new_since_fit += 1
         should_fit = (
             not self.random_sampling
@@ -122,11 +132,11 @@ class LegacyPathOptimizer(BayesianOptimizer):
             self.last_ask_duration = time.perf_counter() - start
             return proposals
         candidates = self.space.sample(self.num_candidates, self.rng, prior=self.prior)
-        fresh = [c for c in candidates if self._key(c) not in self._legacy_keys]
+        fresh = [c for c in candidates if repr_key(c) not in self._legacy_keys]
         if len(fresh) < n:
             fresh.extend(self._sample_unique_legacy(n - len(fresh)))
         encoded = self._encode_loop(fresh)
-        unit = self.space.to_unit_array_loop(fresh)
+        unit = to_unit_array_loop(self.space, fresh)
         train_X = self._encode_loop(self._configs)
         train_y = np.asarray(self._objectives, dtype=float)
         indices = self.liar.select(
@@ -150,7 +160,7 @@ class LegacyPathOptimizer(BayesianOptimizer):
             for config in batch:
                 if len(proposals) >= n:
                     break
-                if self._key(config) not in self._legacy_keys:
+                if repr_key(config) not in self._legacy_keys:
                     proposals.append(config)
             attempts += 1
         while len(proposals) < n:
@@ -170,11 +180,7 @@ def _make_optimizer(path: str, surrogate: str, space: SearchSpace, seed: int):
             refit_interval=1,
             seed=seed,
         )
-    model = (
-        RandomForestSurrogate(seed=seed, fit_algorithm="recursive")
-        if surrogate == "RF"
-        else GaussianProcessSurrogate(incremental=False)
-    )
+    model = RecursiveRandomForest(seed=seed) if surrogate == "RF" else FullRefitGP()
     return LegacyPathOptimizer(
         space,
         surrogate=model,

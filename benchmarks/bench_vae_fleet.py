@@ -7,8 +7,8 @@ prior refresh in the continuous-retuning scenario
 fused :class:`~repro.core.vae.tvae.VAEFleet` path two ways:
 
 * **training** — K structurally identical VAEs trained on K training
-  matrices, fused lock-step epochs (`fused=True`) vs sequential
-  ``member.fit`` calls (`fused=False`).  Every member's weights, training
+  matrices, fused lock-step epochs (``VAEFleet.fit``) vs sequential
+  ``member.fit`` calls.  Every member's weights, training
   trace, samples and RNG state are asserted **bitwise identical** between
   the two modes at full size — the fleet only amortises the per-layer
   NumPy dispatch overhead.
@@ -117,11 +117,12 @@ def measure_training(reps: int, fleet_size: int, rows: int, epochs: int) -> Dict
     for _ in range(reps):
         seq_members = make_members(transform, fleet_size)
         start = time.perf_counter()
-        VAEFleet(seq_members).fit(datasets, epochs=epochs, batch_size=64, fused=False)
+        for member, X in zip(seq_members, datasets):
+            member.fit(X, epochs=epochs, batch_size=64)
         seq_times.append(time.perf_counter() - start)
         fused_members = make_members(transform, fleet_size)
         start = time.perf_counter()
-        VAEFleet(fused_members).fit(datasets, epochs=epochs, batch_size=64, fused=True)
+        VAEFleet(fused_members).fit(datasets, epochs=epochs, batch_size=64)
         fused_times.append(time.perf_counter() - start)
     assert_members_identical(seq_members, fused_members)
     t_seq, t_fused = min(seq_times), min(fused_times)

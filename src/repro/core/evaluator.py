@@ -322,11 +322,6 @@ class AsyncVirtualEvaluator:
             self._started_intervals.append((self.now, self.now + duration))
         return submitted
 
-    def _duration(self, config: Configuration, runtime: float) -> float:
-        return resolve_duration(
-            config, runtime, self.duration_function, self.failure_duration
-        )
-
     # -------------------------------------------------------------- collection
     def next_completion_time(self) -> float:
         """Completion time of the earliest pending evaluation (inf if none)."""

@@ -16,11 +16,10 @@ columns (:meth:`~repro.core.space.SearchSpace.sample_columns`), encoded
 column-wise, and only the configurations actually proposed are materialised
 as dicts.  The evaluated history is kept as an *incremental* encoded cache —
 ``tell`` appends encoded rows and objective values into growing buffers, so
-neither ``tell`` nor ``ask`` ever re-encodes the full history (the pre-PR
-behaviour re-encoded all ``n`` observations on every interaction, making the
-Python-side overhead grow linearly per iteration).  Duplicate detection uses
-raw-value key rows (:meth:`~repro.core.space.SearchSpace.key_array`) hashed
-once per configuration instead of per-candidate ``repr`` tuples.  Surrogates
+neither ``tell`` nor ``ask`` ever re-encodes the full history.  Duplicate
+detection uses raw-value key rows
+(:meth:`~repro.core.space.SearchSpace.key_array`) hashed once per
+configuration instead of per-candidate ``repr`` tuples.  Surrogates
 that advertise :attr:`~repro.core.surrogate.base.Surrogate.supports_partial_fit`
 (the GP's rank-1 Cholesky extension) are handed only the rows appended since
 the last fit instead of the whole training matrix.
@@ -167,13 +166,6 @@ class BayesianOptimizer:
         trade a slightly staler model for faster campaign wall-clock time in
         the large reproduction sweeps (the charged *search-time* overhead is
         unaffected — see :mod:`repro.core.overhead`).
-    incremental:
-        If True (default), the encoded history is cached incrementally:
-        ``tell`` appends encoded rows into growing buffers and ``ask``/``fit``
-        reuse them.  If False, the full history is re-encoded on every
-        interaction — the pre-cache behaviour, kept selectable so the
-        regression tests can assert both paths produce bit-identical
-        proposals and the benchmarks can quantify the cache's effect.
     score_shards:
         Number of row-contiguous shards the candidate matrix is split into
         for surrogate scoring during :meth:`ask`.  ``1`` (default) scores the
@@ -201,7 +193,6 @@ class BayesianOptimizer:
         liar_strategy: str = "kernel_penalty",
         random_sampling: bool = False,
         refit_interval: int = 1,
-        incremental: bool = True,
         score_shards: int = 1,
         score_executor: Optional[object] = None,
         objective: Optional[Objective] = None,
@@ -224,7 +215,6 @@ class BayesianOptimizer:
         if refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
         self.refit_interval = int(refit_interval)
-        self.incremental = bool(incremental)
         self.score_shards = int(score_shards)
         self.score_executor = score_executor
         self._new_since_fit = 0
@@ -242,9 +232,9 @@ class BayesianOptimizer:
         self.encoding = encoding
 
         self._configs: List[Configuration] = []
-        self._objectives: List[float] = []
         self._evaluated_keys: set = set()
-        # Incremental encoded-history cache (capacity-doubling buffers).
+        # Encoded-history cache (capacity-doubling buffers): ``tell`` appends
+        # encoded rows and objectives, fits and asks read views.
         self._enc_dim = (
             space.one_hot_dimension() if self.encoding == "one_hot" else len(space)
         )
@@ -269,11 +259,6 @@ class BayesianOptimizer:
             return self.space.to_one_hot_array(configs)
         return self.space.to_numeric_array(configs)
 
-    @staticmethod
-    def _key(config: Configuration) -> tuple:
-        """Legacy repr-based dedup key (kept for tests and benchmarks)."""
-        return tuple(sorted((k, repr(v)) for k, v in config.items()))
-
     def _key_bytes(self, configs: ConfigsLike) -> List[bytes]:
         """One stable dedup key per configuration, from the raw-value rows."""
         return [row.tobytes() for row in self.space.key_array(configs)]
@@ -287,19 +272,6 @@ class BayesianOptimizer:
         self._X_buf[self._n_rows : needed] = X_new
         self._y_buf[self._n_rows : needed] = y_new
         self._n_rows = needed
-
-    def _train_data(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The encoded training matrix and objective vector.
-
-        With the incremental cache these are views into the append-only
-        buffers; without it the full history is re-encoded (pre-cache
-        behaviour, bit-identical because the column codecs are elementwise).
-        """
-        if self.incremental:
-            return self._X_buf[: self._n_rows], self._y_buf[: self._n_rows]
-        X = self._encode(self._configs)
-        y = np.asarray(self._objectives, dtype=float)
-        return X, y
 
     # ------------------------------------------------------------------- tell
     def tell(self, configurations: Sequence[Configuration], objectives: Sequence[float]) -> None:
@@ -342,11 +314,9 @@ class BayesianOptimizer:
             batch = ColumnBatch.from_configurations(self.space, new_configs)
         filled = [self.objective.fill_failure(obj) for obj in objectives]
         self._configs.extend(new_configs)
-        self._objectives.extend(filled)
         self._evaluated_keys.update(self._key_bytes(batch))
         self._new_since_fit += len(new_configs)
-        if self.incremental:
-            self._append_history(self._encode(batch), np.asarray(filled, dtype=float))
+        self._append_history(self._encode(batch), np.asarray(filled, dtype=float))
         return (
             not self.random_sampling
             and self.num_observations >= self.n_initial_points
@@ -354,8 +324,11 @@ class BayesianOptimizer:
         )
 
     def training_data(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The encoded training matrix and objective vector (read-only views)."""
-        return self._train_data()
+        """The encoded training matrix and objective vector.
+
+        Views into the append-only history buffers; treat them as read-only.
+        """
+        return self._X_buf[: self._n_rows], self._y_buf[: self._n_rows]
 
     @property
     def fitted_rows(self) -> int:
@@ -369,7 +342,7 @@ class BayesianOptimizer:
 
     def fit_now(self) -> None:
         """Fit the surrogate on the current training data (after :meth:`ingest`)."""
-        X, y = self._train_data()
+        X, y = self.training_data()
         fitted_rows = self._n_fitted_rows
         if (
             self.surrogate.supports_partial_fit
@@ -389,7 +362,7 @@ class BayesianOptimizer:
         Called by :meth:`fit_now`, or by drivers that fitted the surrogate
         externally (the multi-campaign fleet fit).
         """
-        self._n_fitted_rows = self._n_rows if self.incremental else len(self._configs)
+        self._n_fitted_rows = self._n_rows
         self.num_fits += 1
         self._new_since_fit = 0
 
@@ -522,7 +495,7 @@ class BayesianOptimizer:
         """
         if mean is None and prepared.wants_scores:
             mean, std = self._predict_candidates(prepared.encoded)
-        train_X, train_y = self._train_data()
+        train_X, train_y = self.training_data()
         indices = self.liar.select(
             prepared.n,
             surrogate=self.surrogate,
@@ -576,7 +549,7 @@ class BayesianOptimizer:
         """The best configuration told so far (None before any tell)."""
         if not self._configs:
             return None
-        idx = int(np.argmax(self._objectives))
+        idx = int(np.argmax(self._y_buf[: self._n_rows]))
         return self._configs[idx]
 
     def categorical_column_indices(self) -> List[int]:

@@ -132,11 +132,6 @@ class CBOSearch:
         Worker time consumed by failed evaluations (600 s in the paper).
     objective:
         Objective transform (defaults to ``-log(runtime)``).
-    incremental:
-        Whether the optimizer caches the encoded history incrementally
-        (default) or re-encodes it per interaction; see
-        :class:`~repro.core.optimizer.BayesianOptimizer`.  Both settings
-        produce identical searches — only real wall-clock time differs.
     score_shards, score_executor:
         Candidate-scoring sharding of the optimizer's ``ask`` (see
         :class:`~repro.core.optimizer.BayesianOptimizer`); any shard count
@@ -186,7 +181,6 @@ class CBOSearch:
         objective: Optional[Objective] = None,
         random_sampling: bool = False,
         refit_interval: int = 1,
-        incremental: bool = True,
         score_shards: int = 1,
         score_executor: Optional[object] = None,
         evaluator_factory: Optional[Callable] = None,
@@ -210,7 +204,6 @@ class CBOSearch:
             liar_strategy=liar_strategy,
             random_sampling=random_sampling,
             refit_interval=refit_interval,
-            incremental=incremental,
             score_shards=score_shards,
             score_executor=score_executor,
             objective=self.objective,

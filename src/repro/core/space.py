@@ -28,10 +28,9 @@ Configurations have two representations:
 All encodings (:meth:`SearchSpace.to_unit_array`,
 :meth:`SearchSpace.to_numeric_array`, :meth:`SearchSpace.to_one_hot_array`,
 :meth:`SearchSpace.from_unit_array`) are vectorised column-wise through the
-per-parameter ``to_unit_vec`` / ``from_unit_vec`` codecs.  The original
-per-element loops are kept as ``*_loop`` reference implementations: they are
-exercised by the property-based equivalence tests and used by the benchmark
-suite to reconstruct the pre-columnar cost profile.
+per-parameter ``to_unit_vec`` / ``from_unit_vec`` codecs.  Their per-element
+scalar counterparts live in ``tests/oracles/space.py``, where property-based
+tests check the two agree.
 """
 
 from __future__ import annotations
@@ -1087,63 +1086,6 @@ class SearchSpace:
                 arr[:, j] = batch.discrete_indices(p)
             else:
                 arr[:, j] = p.indices_vec(col)
-        return arr
-
-    # --------------------------------------- reference (scalar) encodings
-    # The pre-columnar per-element implementations, kept as the ground truth
-    # for the property-based equivalence tests and for benchmarks that need to
-    # reconstruct the pre-vectorisation cost profile.  Semantics match the
-    # vectorised codecs (including the log clip fix in to_numeric_array) up to
-    # ≤1-ulp differences between math.log/exp and np.log/exp.
-
-    def to_unit_array_loop(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Reference scalar implementation of :meth:`to_unit_array`."""
-        arr = np.empty((len(configs), len(self._params)), dtype=float)
-        for i, config in enumerate(configs):
-            for j, p in enumerate(self._params):
-                arr[i, j] = p.to_unit(config[p.name])
-        return arr
-
-    def from_unit_array_loop(self, arr: np.ndarray) -> List[Configuration]:
-        """Reference scalar implementation of :meth:`from_unit_array`."""
-        arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        if arr.shape[1] != len(self._params):
-            raise ValueError(
-                f"expected {len(self._params)} columns, got {arr.shape[1]}"
-            )
-        configs = []
-        for row in arr:
-            configs.append(
-                {p.name: p.from_unit(float(u)) for p, u in zip(self._params, row)}
-            )
-        return configs
-
-    def to_numeric_array_loop(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Reference scalar implementation of :meth:`to_numeric_array`."""
-        arr = np.empty((len(configs), len(self._params)), dtype=float)
-        for i, config in enumerate(configs):
-            for j, p in enumerate(self._params):
-                value = config[p.name]
-                if isinstance(p, (RealParameter, IntegerParameter)):
-                    v = float(value)
-                    arr[i, j] = math.log(max(v, p.low)) if p.log else v
-                else:
-                    arr[i, j] = float(p.index_of(value))
-        return arr
-
-    def to_one_hot_array_loop(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Reference scalar implementation of :meth:`to_one_hot_array`."""
-        arr = np.zeros((len(configs), self.one_hot_dimension()), dtype=float)
-        for i, config in enumerate(configs):
-            col = 0
-            for p in self._params:
-                value = config[p.name]
-                if isinstance(p, CategoricalParameter):
-                    arr[i, col + p.index_of(value)] = 1.0
-                    col += len(p.categories)
-                else:
-                    arr[i, col] = p.to_unit(value)
-                    col += 1
         return arr
 
     # ------------------------------------------------------------ composition

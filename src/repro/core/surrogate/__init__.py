@@ -19,7 +19,7 @@ this environment) behind the common
 """
 
 from repro.core.surrogate.base import Surrogate, ConstantSurrogate
-from repro.core.surrogate.random_forest import DecisionTreeRegressor, RandomForestSurrogate
+from repro.core.surrogate.random_forest import RandomForestSurrogate
 from repro.core.surrogate.gaussian_process import (
     GaussianProcessSurrogate,
     GPFleet,
@@ -29,7 +29,6 @@ from repro.core.surrogate.tpe import TreeParzenEstimator
 
 __all__ = [
     "ConstantSurrogate",
-    "DecisionTreeRegressor",
     "GaussianProcessSurrogate",
     "GPFleet",
     "RandomForestSurrogate",

@@ -178,26 +178,16 @@ class GaussianProcessSurrogate(Surrogate):
         likelihood.
     normalize_y:
         Whether to centre/scale the targets before fitting.
-    incremental:
-        Whether :meth:`partial_fit` extends the Cholesky factor by rank-1
-        block updates (the hot path).  When False the surrogate advertises no
-        partial-fit support and every update is a full reference refit — the
-        pre-incremental behaviour, kept selectable for regression tests and
-        benchmarks.
     refresh_growth:
         Hyperparameter-refresh schedule of the incremental path: a full
         reference fit (recomputing length scales and the noise/signal grid) is
         triggered whenever the training set has grown by this factor since the
         last full fit.  Between refreshes hyperparameters are frozen, which is
         what makes the rank-1 update exact.
-    hyperparameter_grid:
-        The (noise, signal-variance) combinations the marginal-likelihood
-        refinement scans, in scan order; defaults to the module-wide grid.
-        The grid participates in :func:`gp_fleet_key`, so members with
-        different grids never share a fused full refit — a fused scan runs
-        one grid for the whole stack and would silently impose the wrong
-        grid on a disagreeing member.
     """
+
+    #: :meth:`partial_fit` extends the Cholesky factor by rank-1 block updates.
+    supports_partial_fit = True
 
     def __init__(
         self,
@@ -205,9 +195,7 @@ class GaussianProcessSurrogate(Surrogate):
         length_scale: float = 1.0,
         auto_hyperparameters: bool = True,
         normalize_y: bool = True,
-        incremental: bool = True,
         refresh_growth: float = 1.25,
-        hyperparameter_grid: Optional[Sequence[Tuple[float, float]]] = None,
     ):
         if noise <= 0:
             raise ValueError("noise must be positive")
@@ -215,20 +203,10 @@ class GaussianProcessSurrogate(Surrogate):
             raise ValueError("length_scale must be positive")
         if refresh_growth <= 1.0:
             raise ValueError("refresh_growth must be > 1")
-        if hyperparameter_grid is None:
-            self.hyperparameter_grid: Tuple[Tuple[float, float], ...] = _HYPERPARAMETER_GRID
-        else:
-            self.hyperparameter_grid = tuple(
-                (float(g_noise), float(g_signal))
-                for g_noise, g_signal in hyperparameter_grid
-            )
-            if not self.hyperparameter_grid:
-                raise ValueError("hyperparameter_grid must not be empty")
         self.noise = float(noise)
         self.length_scale = float(length_scale)
         self.auto_hyperparameters = bool(auto_hyperparameters)
         self.normalize_y = bool(normalize_y)
-        self.incremental = bool(incremental)
         self.refresh_growth = float(refresh_growth)
         self.fitted = False
         self._X: Optional[np.ndarray] = None
@@ -251,11 +229,6 @@ class GaussianProcessSurrogate(Surrogate):
         self.num_partial_fits = 0
 
     # --------------------------------------------------------------- plumbing
-    @property
-    def supports_partial_fit(self) -> bool:
-        """Whether :meth:`partial_fit` uses the incremental update."""
-        return self.incremental
-
     @property
     def training_size(self) -> int:
         """Number of training rows the cached factor currently covers."""
@@ -350,23 +323,6 @@ class GaussianProcessSurrogate(Surrogate):
         self._cho = (self._L_buf[:n, :n], True)
         self._alpha = _cho_solve_lower(self._cho[0], y_n)
 
-    def refit_with_current_hyperparameters(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> "GaussianProcessSurrogate":
-        """Full refit that *keeps* the current hyperparameters.
-
-        The reference the incremental path is checked against: a
-        :meth:`partial_fit` sequence and this method produce the same kernel,
-        so their posteriors must agree to floating-point rounding.
-        """
-        if not self.fitted:
-            raise RuntimeError("the GP has not been fitted")
-        X, y = self._validate(X, y)
-        y_n = self._normalize_targets(y)
-        self._store_training_set(X, y)
-        self._factorize_full(y_n)
-        return self
-
     # ---------------------------------------------------------- partial fit
     def partial_fit_plan(self, total_rows: int) -> str:
         """Which path :meth:`partial_fit` takes at this total training size.
@@ -379,7 +335,7 @@ class GaussianProcessSurrogate(Surrogate):
         fleet drivers (:func:`gp_fleet_key`), so grouping members for a
         batched pass can never disagree with what each member would do solo.
         """
-        if not (self.incremental and self.fitted):
+        if not self.fitted:
             return "full"
         if total_rows >= self.refresh_growth * self._n_last_full:
             return "full"
@@ -500,7 +456,7 @@ class GaussianProcessSurrogate(Surrogate):
         best = (self.noise, 1.0)
         best_lml = -np.inf
         diag = np.arange(E.shape[0])
-        for noise, signal in self.hyperparameter_grid:
+        for noise, signal in _HYPERPARAMETER_GRID:
             K = signal * E
             K[diag, diag] += noise
             try:
@@ -554,13 +510,6 @@ def gp_fleet_key(
     A member whose cached factor does not cover exactly the already-fitted
     rows (``model._n != num_rows - num_new``) gets a per-model singleton key:
     only the solo path reproduces whatever that state would do.
-
-    Full refits that would run the marginal-likelihood refinement also key
-    on the member's ``hyperparameter_grid``: the fused scan runs one grid
-    over the whole kernel stack, so members that disagree on the grid must
-    group apart (and thence fall back to solo fits when singleton) rather
-    than have a sibling's grid silently imposed on them.  Extensions keep
-    hyperparameters frozen and need no grid in their key.
     """
     num_old = num_rows - num_new
     if model.supports_partial_fit and model.fitted and 0 < num_old < num_rows:
@@ -573,8 +522,6 @@ def gp_fleet_key(
             return ("solo", id(model))
         if model.partial_fit_plan(num_rows) == "extend":
             return ("extend", num_features, num_new)
-    if model.auto_hyperparameters and num_rows >= 8:
-        return ("full", num_features, num_rows, model.hyperparameter_grid)
     return ("full", num_features, num_rows)
 
 
@@ -673,21 +620,11 @@ class GPFleet:
             if member.auto_hyperparameters and n >= 8
         ]
         if refine:
-            grids = {members[k].hyperparameter_grid for k in refine}
-            if len(grids) != 1:
-                # One grid drives the whole fused scan; imposing it on a
-                # member that configured a different one would silently
-                # change that member's selection.  gp_fleet_key keys full
-                # refits on the grid, so a grouped driver never gets here.
-                raise ValueError(
-                    "fleet full fits require refining members to share one "
-                    "hyperparameter grid; group with gp_fleet_key"
-                )
             # Avoid a full-stack copy in the common all-members-refine case.
             E_refine = E if len(refine) == len(members) else E[refine]
             best = {k: (members[k].noise, 1.0) for k in refine}
             best_lml = {k: -np.inf for k in refine}
-            for noise, signal in next(iter(grids)):
+            for noise, signal in _HYPERPARAMETER_GRID:
                 K_stack = signal * E_refine
                 K_stack[:, diag, diag] += noise
                 # Indefinite combinations are skipped per member, exactly
@@ -743,7 +680,7 @@ class GPFleet:
         factorised by one batched ``np.linalg.cholesky``; the per-member
         ``B = L⁻¹·K₁₂`` triangular solves and ``alpha`` recomputations call
         the same LAPACK wrappers the solo path calls.  Members must be
-        fitted, incremental, share one update shape ``(m, d)`` and not be due
+        fitted, share one update shape ``(m, d)`` and not be due
         a hyperparameter refresh (group with :func:`gp_fleet_key`) — their
         training-set sizes may differ freely: the cross-kernel is built on
         the *concatenated* old rows (row-local scaling/reductions and
@@ -765,10 +702,6 @@ class GPFleet:
             if not member.fitted:
                 raise RuntimeError(
                     "fleet extension requires fitted members — use GPFleet.fit"
-                )
-            if not member.incremental:
-                raise ValueError(
-                    "fleet extension requires incremental members — use GPFleet.fit"
                 )
             X_new, y_new = member._validate_update(X_new, y_new)
             if member.partial_fit_plan(member._n + X_new.shape[0]) != "extend":

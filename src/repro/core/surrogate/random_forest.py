@@ -1,27 +1,24 @@
 """Random-forest surrogate (the paper's default DeepHyper model).
 
-A from-scratch implementation on NumPy:
-
-* :class:`DecisionTreeRegressor` — CART-style regression tree with
-  variance-reduction splits, random feature subsampling per node, and
-  array-based storage so prediction is vectorised.  Built node by node with a
-  depth-first recursion; kept as the *reference* implementation.
-* :class:`RandomForestSurrogate` — a bagged ensemble; the predictive mean is
-  the average of the per-tree predictions and the predictive standard
-  deviation is their spread (the classic forest uncertainty estimate used by
-  sampling-based BO).
+:class:`RandomForestSurrogate` is a from-scratch bagged ensemble of CART-style
+regression trees on NumPy (variance-reduction splits, random feature
+subsampling per node, flat-array node storage so prediction is vectorised).
+The predictive mean is the average of the per-tree predictions and the
+predictive standard deviation is their spread (the classic forest uncertainty
+estimate used by sampling-based BO).
 
 The implementation favours fast re-fitting: the asynchronous search refits the
 surrogate every time a batch of evaluations completes, and the paper's Fig. 4
 relies on the RF update being cheap compared with the GP's :math:`O(n^3)`.
-The default forest fit is therefore *level-wise*: all nodes of all trees at
-one depth are split together with segmented NumPy operations (one lexsort +
+The forest is therefore fitted *level-wise*: all nodes of all trees at one
+depth are split together with segmented NumPy operations (one lexsort +
 cumulative-sum pass per candidate-feature slot per level), instead of one
 Python call stack per node.  At ~1000 observations this cuts the refit
-wall-clock by roughly 5× against the recursive builder while producing
-statistically equivalent forests (same split criterion, same guards, same
-hyperparameters; only the order of the RNG draws differs).  The recursive
-builder remains available as ``fit_algorithm="recursive"``.
+wall-clock by roughly 5× against a recursive depth-first builder while
+producing statistically equivalent forests (same split criterion, same
+guards, same hyperparameters; only the order of the RNG draws differs).  That
+recursive builder lives in ``tests/oracles/random_forest.py``, where the
+equivalence tests compare against it.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import numpy as np
 from repro.core.surrogate.base import Surrogate
 
 __all__ = [
-    "DecisionTreeRegressor",
     "RandomForestSurrogate",
     "fit_forest_fleet",
     "predict_forest_fleet",
@@ -45,190 +41,15 @@ __all__ = [
 _MIN_SPREAD = 1e-12
 
 
-class DecisionTreeRegressor:
-    """A regression tree with variance-reduction splits.
-
-    Parameters
-    ----------
-    max_depth:
-        Maximum tree depth.
-    min_samples_split:
-        Minimum number of samples required to attempt a split.
-    min_samples_leaf:
-        Minimum number of samples in each child.
-    max_features:
-        Number of features considered per split (``None`` = all,
-        ``"sqrt"`` = ⌈√d⌉).
-    rng:
-        Random generator used for feature subsampling.
-    """
-
-    def __init__(
-        self,
-        max_depth: int = 18,
-        min_samples_split: int = 4,
-        min_samples_leaf: int = 2,
-        max_features: Optional[object] = "sqrt",
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if min_samples_leaf < 1 or min_samples_split < 2:
-            raise ValueError("invalid minimum sample constraints")
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.rng = rng or np.random.default_rng()
-        # Array representation filled by fit().
-        self._feature: List[int] = []
-        self._threshold: List[float] = []
-        self._left: List[int] = []
-        self._right: List[int] = []
-        self._value: List[float] = []
-        self.fitted = False
-
-    # -------------------------------------------------------------------- fit
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Build the tree on ``X`` (n×d) and ``y`` (n,)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
-            raise ValueError("invalid training data")
-        self._feature, self._threshold = [], []
-        self._left, self._right, self._value = [], [], []
-        self._n_features = X.shape[1]
-        self._build(X, y, np.arange(X.shape[0]), depth=0)
-        self.fitted = True
-        return self
-
-    def _n_split_features(self) -> int:
-        d = self._n_features
-        if self.max_features is None:
-            return d
-        if self.max_features == "sqrt":
-            return max(1, int(math.ceil(math.sqrt(d))))
-        return max(1, min(d, int(self.max_features)))
-
-    def _new_node(self) -> int:
-        self._feature.append(-1)
-        self._threshold.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._value.append(0.0)
-        return len(self._feature) - 1
-
-    def _build(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        y_node = y[idx]
-        self._value[node] = float(np.mean(y_node))
-        n = idx.shape[0]
-        if (
-            depth >= self.max_depth
-            or n < self.min_samples_split
-            or np.ptp(y_node) < 1e-12
-        ):
-            return node
-
-        best = self._best_split(X, y, idx)
-        if best is None:
-            return node
-        feature, threshold, left_mask = best
-        left_idx = idx[left_mask]
-        right_idx = idx[~left_mask]
-        self._feature[node] = feature
-        self._threshold[node] = threshold
-        self._left[node] = self._build(X, y, left_idx, depth + 1)
-        self._right[node] = self._build(X, y, right_idx, depth + 1)
-        return node
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray
-    ) -> Optional[Tuple[int, float, np.ndarray]]:
-        """Find the variance-minimising split over a random feature subset."""
-        n = idx.shape[0]
-        y_node = y[idx]
-        features = self.rng.choice(
-            self._n_features, size=self._n_split_features(), replace=False
-        )
-        best_score = np.inf
-        best: Optional[Tuple[int, float, np.ndarray]] = None
-        min_leaf = self.min_samples_leaf
-        for feature in features:
-            values = X[idx, feature]
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            y_sorted = y_node[order]
-            # Valid split positions: between distinct consecutive values, with
-            # at least min_leaf samples on each side.
-            csum = np.cumsum(y_sorted)
-            csum2 = np.cumsum(y_sorted**2)
-            total, total2 = csum[-1], csum2[-1]
-            counts_left = np.arange(1, n)
-            valid = (v_sorted[1:] > v_sorted[:-1]) & (counts_left >= min_leaf) & (
-                (n - counts_left) >= min_leaf
-            )
-            if not np.any(valid):
-                continue
-            sum_left = csum[:-1]
-            sum2_left = csum2[:-1]
-            sum_right = total - sum_left
-            sum2_right = total2 - sum2_left
-            counts_right = n - counts_left
-            sse_left = sum2_left - sum_left**2 / counts_left
-            sse_right = sum2_right - sum_right**2 / counts_right
-            score = sse_left + sse_right
-            score[~valid] = np.inf
-            pos = int(np.argmin(score))
-            if score[pos] < best_score:
-                best_score = float(score[pos])
-                threshold = 0.5 * (v_sorted[pos] + v_sorted[pos + 1])
-                left_mask = values <= threshold
-                # Guard against degenerate masks caused by ties.
-                if min_leaf <= left_mask.sum() <= n - min_leaf:
-                    best = (int(feature), float(threshold), left_mask)
-        return best
-
-    # ---------------------------------------------------------------- predict
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted mean for each row of ``X`` (vectorised traversal)."""
-        if not self.fitted:
-            raise RuntimeError("the tree has not been fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        feature = np.asarray(self._feature)
-        threshold = np.asarray(self._threshold)
-        left = np.asarray(self._left)
-        right = np.asarray(self._right)
-        value = np.asarray(self._value)
-
-        nodes = np.zeros(X.shape[0], dtype=int)
-        for _ in range(self.max_depth + 1):
-            is_internal = feature[nodes] >= 0
-            if not np.any(is_internal):
-                break
-            f = feature[nodes[is_internal]]
-            t = threshold[nodes[is_internal]]
-            rows = np.nonzero(is_internal)[0]
-            go_left = X[rows, f] <= t
-            new_nodes = np.where(go_left, left[nodes[rows]], right[nodes[rows]])
-            nodes[rows] = new_nodes
-        return value[nodes]
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes in the fitted tree."""
-        return len(self._feature)
-
-
 class _ArrayTree:
     """A fitted regression tree stored as flat NumPy arrays.
 
-    Produced by the level-wise forest builder; behaves like a fitted
-    :class:`DecisionTreeRegressor` for prediction purposes (same vectorised
-    traversal), but never holds Python list node storage.
+    Produced by the level-wise forest builder; node ``i`` splits on
+    ``feature[i]`` at ``threshold[i]`` into ``left[i]``/``right[i]``, or is a
+    leaf (``feature[i] == -1``) predicting ``value[i]``.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth", "fitted")
+    __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth")
 
     def __init__(
         self,
@@ -245,24 +66,6 @@ class _ArrayTree:
         self.right = right
         self.value = value
         self.max_depth = int(max_depth)
-        self.fitted = True
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted mean for each row of ``X`` (vectorised traversal)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        feature, threshold = self.feature, self.threshold
-        left, right, value = self.left, self.right, self.value
-        nodes = np.zeros(X.shape[0], dtype=int)
-        for _ in range(self.max_depth + 1):
-            is_internal = feature[nodes] >= 0
-            if not np.any(is_internal):
-                break
-            rows = np.nonzero(is_internal)[0]
-            f = feature[nodes[rows]]
-            t = threshold[nodes[rows]]
-            go_left = X[rows, f] <= t
-            nodes[rows] = np.where(go_left, left[nodes[rows]], right[nodes[rows]])
-        return value[nodes]
 
     @property
     def node_count(self) -> int:
@@ -301,8 +104,8 @@ def _build_forest_fleet(
     subtraction) so no floating-point state leaks across jobs.  The test
     suite pins this equality down to the node arrays.
 
-    The split semantics mirror :meth:`DecisionTreeRegressor._best_split`
-    exactly: variance-reduction (SSE) scores over a random feature subset,
+    The split semantics are those of the classic recursive CART builder
+    (``tests/oracles/random_forest.py``): variance-reduction (SSE) scores over a random feature subset,
     splits only between distinct consecutive sorted values with at least
     ``min_samples_leaf`` samples per side, midpoint thresholds, and the same
     degenerate-tie guard (a feature whose threshold would swallow tied values
@@ -661,22 +464,17 @@ def _build_forest_levelwise(
 
 
 class RandomForestSurrogate(Surrogate):
-    """Bagged ensemble of :class:`DecisionTreeRegressor`.
+    """Bagged ensemble of level-wise fitted regression trees.
 
     Parameters
     ----------
     n_estimators:
         Number of trees.
     max_depth, min_samples_split, min_samples_leaf, max_features:
-        Passed to each tree.
+        Per-tree growth limits; ``max_features`` is the number of features
+        considered per split (``None`` = all, ``"sqrt"`` = ⌈√d⌉).
     bootstrap:
         Whether each tree trains on a bootstrap resample.
-    fit_algorithm:
-        ``"levelwise"`` (default) builds all trees jointly, one depth level at
-        a time, with segmented NumPy passes — the fast path the asynchronous
-        search relies on for cheap refits.  ``"recursive"`` builds each tree
-        with the reference depth-first :class:`DecisionTreeRegressor`; both
-        produce statistically equivalent forests.
     seed:
         Seed of the forest's random generator (feature subsampling and
         bootstrap resampling).
@@ -690,13 +488,10 @@ class RandomForestSurrogate(Surrogate):
         min_samples_leaf: int = 2,
         max_features: Optional[object] = "sqrt",
         bootstrap: bool = True,
-        fit_algorithm: str = "levelwise",
         seed: int = 0,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if fit_algorithm not in ("levelwise", "recursive"):
-            raise ValueError(f"unknown fit_algorithm {fit_algorithm!r}")
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1 or min_samples_split < 2:
@@ -707,10 +502,9 @@ class RandomForestSurrogate(Surrogate):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.fit_algorithm = fit_algorithm
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._trees: List[object] = []
+        self._trees: List[_ArrayTree] = []
         self._fused_cache: Optional[Tuple] = None
         self.fitted = False
 
@@ -736,55 +530,34 @@ class RandomForestSurrogate(Surrogate):
         ``roots`` holds each tree's root position.
         """
         if self._fused_cache is None:
-            parts = [_tree_arrays(tree) for tree in self._trees]
-            sizes = np.asarray([p[0].shape[0] for p in parts], dtype=np.intp)
-            roots = np.zeros(len(parts), dtype=np.intp)
+            trees = self._trees
+            sizes = np.asarray([tree.node_count for tree in trees], dtype=np.intp)
+            roots = np.zeros(len(trees), dtype=np.intp)
             np.cumsum(sizes[:-1], out=roots[1:])
             self._fused_cache = (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] + off for p, off in zip(parts, roots)]),
-                np.concatenate([p[3] + off for p, off in zip(parts, roots)]),
-                np.concatenate([p[4] for p in parts]),
+                np.concatenate([tree.feature for tree in trees]),
+                np.concatenate([tree.threshold for tree in trees]),
+                np.concatenate([tree.left + off for tree, off in zip(trees, roots)]),
+                np.concatenate([tree.right + off for tree, off in zip(trees, roots)]),
+                np.concatenate([tree.value for tree in trees]),
                 roots,
-                max(p[5] for p in parts),
+                max(tree.max_depth for tree in trees),
             )
         return self._fused_cache
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestSurrogate":
         X, y = self._validate(X, y)
         self._fused_cache = None
-        if self.fit_algorithm == "levelwise":
-            self._trees = _build_forest_levelwise(
-                X,
-                y,
-                bootstrap_rows=self._bootstrap_rows(X.shape[0]),
-                rng=self._rng,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                n_split_features=self._n_split_features(X.shape[1]),
-            )
-            self.fitted = True
-            return self
-        # Reference path: per-tree bootstrap + recursive build, with the same
-        # interleaved RNG draw order as the original implementation.
-        n = X.shape[0]
-        self._trees = []
-        for _ in range(self.n_estimators):
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                rng=self._rng,
-            )
-            if self.bootstrap and n > 1:
-                sample = self._rng.integers(0, n, size=n)
-            else:
-                sample = np.arange(n)
-            tree.fit(X[sample], y[sample])
-            self._trees.append(tree)
+        self._trees = _build_forest_levelwise(
+            X,
+            y,
+            bootstrap_rows=self._bootstrap_rows(X.shape[0]),
+            rng=self._rng,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            n_split_features=self._n_split_features(X.shape[1]),
+        )
         self.fitted = True
         return self
 
@@ -831,20 +604,6 @@ class RandomForestSurrogate(Surrogate):
 
 
 # --------------------------------------------------------------------- fleet
-def _tree_arrays(tree: object) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Flat node arrays of a fitted tree (either storage representation)."""
-    if isinstance(tree, _ArrayTree):
-        return tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.max_depth
-    return (
-        np.asarray(tree._feature, dtype=np.intp),
-        np.asarray(tree._threshold, dtype=float),
-        np.asarray(tree._left, dtype=np.intp),
-        np.asarray(tree._right, dtype=np.intp),
-        np.asarray(tree._value, dtype=float),
-        tree.max_depth,
-    )
-
-
 def fleet_compatibility_key(model: RandomForestSurrogate, num_features: int) -> Tuple:
     """The hyperparameters a fleet fit requires its members to share.
 
@@ -874,8 +633,7 @@ def fit_forest_fleet(
     the dominant cost of small refits — is paid once for the fleet instead of
     once per forest.
 
-    All forests must use the level-wise fit algorithm, share the same split
-    hyperparameters (``max_depth``, ``min_samples_split``,
+    All forests must share the same split hyperparameters (``max_depth``, ``min_samples_split``,
     ``min_samples_leaf`` and the resolved number of split features) and train
     on the same feature dimensionality; forests may differ in
     ``n_estimators`` and training-set size.
@@ -890,8 +648,6 @@ def fit_forest_fleet(
     rngs: List[np.random.Generator] = []
     shared = None
     for model, X, y in fits:
-        if model.fit_algorithm != "levelwise":
-            raise ValueError("fleet fitting requires fit_algorithm='levelwise'")
         X, y = model._validate(X, y)
         key = fleet_compatibility_key(model, X.shape[1])
         if shared is None:

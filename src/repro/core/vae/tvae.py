@@ -26,8 +26,7 @@ Two training entry points exist:
   state end up **bitwise identical** to ``K`` sequential
   :meth:`TabularVAE.fit` calls with the same seeds (asserted by the test
   suite and by ``benchmarks/bench_vae_fleet.py``); the fleet only changes
-  wall-clock time.  ``VAEFleet.fit(..., fused=False)`` is the sequential
-  escape hatch.
+  wall-clock time.
 """
 
 from __future__ import annotations
@@ -386,7 +385,6 @@ class VAEFleet:
         epochs: int = 300,
         batch_size: int = 64,
         lr: float = 1e-3,
-        fused: bool = True,
     ) -> List[TrainingTrace]:
         """Train every member on its own dataset, in fused lock-step epochs.
 
@@ -397,10 +395,6 @@ class VAEFleet:
             ``(n, input_dim)``.
         epochs, batch_size, lr:
             Shared training budget (see :meth:`TabularVAE.fit`).
-        fused:
-            ``False`` is the sequential escape hatch: plain ``member.fit``
-            calls, one after the other.  Both settings produce bitwise
-            identical members; only wall-clock time differs.
         """
         if len(datasets) != len(self.members):
             raise ValueError(f"need {len(self.members)} datasets, got {len(datasets)}")
@@ -414,16 +408,6 @@ class VAEFleet:
             raise ValueError("cannot train on an empty dataset")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not fused:
-            return [
-                member.fit(X, epochs=epochs, batch_size=batch_size, lr=lr)
-                for member, X in zip(self.members, mats)
-            ]
-        return self._fit_fused(mats, epochs=epochs, batch_size=batch_size, lr=lr)
-
-    def _fit_fused(
-        self, mats: List[np.ndarray], epochs: int, batch_size: int, lr: float
-    ) -> List[TrainingTrace]:
         members = self.members
         K = len(members)
         n, dim = mats[0].shape

@@ -38,7 +38,6 @@ from repro.core.evaluator import (
     EvaluatorStalledError,
     PendingEvaluation,
     WorkerState,
-    resolve_duration,
     resolve_outcome,
 )
 from repro.core.space import Configuration
@@ -141,7 +140,10 @@ class SharedWorkerPool:
         self.num_lost = 0
         self.num_retried = 0
         self.num_exhausted = 0
-        self.clients: List["ServiceEvaluator"] = []
+        #: Number of :class:`ServiceEvaluator` clients ever attached.  A
+        #: count, not a list: the pool must not keep finished campaigns'
+        #: evaluators (and their run functions and results) alive.
+        self.num_clients = 0
         #: Guards the queue, the running list, the retry heap, the clock and
         #: the per-tenant slot accounting.  Re-entrant: ``process_until``
         #: holds it while calling ``_drain_queue``/``_start``, and a client's
@@ -462,10 +464,10 @@ class SharedWorkerPool:
         state belongs to every campaign using it, so no one campaign's
         journal may claim it.  Floats survive the JSON round trip bit-exactly.
         """
-        if len(self.clients) != 1:
+        if self.num_clients != 1:
             raise RuntimeError(
                 "state snapshots require a private (single-client) pool; "
-                f"this pool has {len(self.clients)} clients"
+                f"this pool has {self.num_clients} clients"
             )
         with self.lock:
             return self._state_dict_locked()
@@ -658,7 +660,8 @@ class ServiceEvaluator:
         self._own_running: List[PendingEvaluation] = []
         self._done: List[CompletedEvaluation] = []
         self._started_intervals: List[Tuple[float, float]] = []
-        self.pool.clients.append(self)
+        with self.pool.lock:
+            self.pool.num_clients += 1
 
     # ----------------------------------------------------------- delegations
     @property
@@ -712,11 +715,6 @@ class ServiceEvaluator:
         with self.pool.lock:
             started, self._started_intervals = self._started_intervals, []
         return started
-
-    def _duration(self, config: Configuration, runtime: float) -> float:
-        return resolve_duration(
-            config, runtime, self.duration_function, self.failure_duration
-        )
 
     # ------------------------------------------------------------- submission
     def submit(self, configurations, runtimes=None) -> int:

@@ -684,11 +684,7 @@ class CampaignRunner:
     # ------------------------------------------------------------ fleet fits
     @staticmethod
     def _fleet_eligible(execution: CampaignExecution) -> bool:
-        surrogate = execution.optimizer.surrogate
-        return (
-            isinstance(surrogate, RandomForestSurrogate)
-            and surrogate.fit_algorithm == "levelwise"
-        )
+        return isinstance(execution.optimizer.surrogate, RandomForestSurrogate)
 
     def _fit_fleet(self, fit_due: List[CampaignExecution]) -> None:
         """Fit the due RF surrogates, grouped by compatible hyperparameters."""

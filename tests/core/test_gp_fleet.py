@@ -11,6 +11,7 @@ corrupt any member's cached Cholesky factor.
 import numpy as np
 import pytest
 
+from oracles import FullRefitGP
 from repro.core.surrogate import GaussianProcessSurrogate, GPFleet, gp_fleet_key
 
 D = 5
@@ -186,10 +187,8 @@ class TestFleetKey:
         assert gp_fleet_key(gp, 20, 20, D)[0] == "full"  # unfitted
         gp.fit(*make_data(0, 20))
         assert gp_fleet_key(gp, 22, 2, D) == ("extend", D, 2)
-        assert gp_fleet_key(gp, 40, 20, D) == (
-            "full", D, 40, gp.hyperparameter_grid,
-        )  # past refresh
-        frozen = GaussianProcessSurrogate(incremental=False)
+        assert gp_fleet_key(gp, 40, 20, D) == ("full", D, 40)  # past refresh
+        frozen = FullRefitGP()
         frozen.fit(*make_data(1, 20))
         assert gp_fleet_key(frozen, 22, 2, D)[0] == "full"
 
@@ -201,6 +200,16 @@ class TestFleetKey:
         b.fit(*make_data(1, 47))
         assert gp_fleet_key(a, 31, 1, D) == gp_fleet_key(b, 48, 1, D)
 
+    def test_full_keys_ignore_hyperparameter_flags(self):
+        """Refining and fixed-hyperparameter members share one full refit
+        (``GPFleet.fit`` handles the mix, see
+        ``test_heterogeneous_hyperparameter_flags``)."""
+        a = GaussianProcessSurrogate()
+        b = GaussianProcessSurrogate(auto_hyperparameters=False)
+        a.fit(*make_data(0, 20))
+        b.fit(*make_data(1, 20))
+        assert gp_fleet_key(a, 40, 20, D) == gp_fleet_key(b, 40, 20, D)
+
     def test_factor_state_mismatch_gets_singleton_key(self):
         gp = GaussianProcessSurrogate()
         gp.fit(*make_data(0, 20))
@@ -211,69 +220,7 @@ class TestFleetKey:
         # rows, so a desynced member is never "full"-groupable either.
         assert gp_fleet_key(gp, 30, 7, D)[0] == "solo"
         # A synced member past the boundary stays a groupable full refit.
-        assert gp_fleet_key(gp, 30, 10, D) == ("full", D, 30, gp.hyperparameter_grid)
-
-
-class TestHyperparameterGridGrouping:
-    """Full-refit grouping must respect each member's length-scale grid.
-
-    ``gp_fleet_key`` once keyed full refits on history size alone, so two
-    same-size members with different ``hyperparameter_grid`` settings could
-    be fused into one :meth:`GPFleet.fit` sweep — which walks exactly one
-    grid and would silently refine a member over the wrong candidates.
-    """
-
-    CUSTOM_GRID = ((1e-5, 0.75), (1e-3, 1.5))
-
-    def test_grid_disagreement_splits_full_keys(self):
-        default = GaussianProcessSurrogate()
-        custom = GaussianProcessSurrogate(hyperparameter_grid=self.CUSTOM_GRID)
-        default.fit(*make_data(0, 20))
-        custom.fit(*make_data(1, 20))
-        # Same history size and width, but the keys must differ.
-        assert gp_fleet_key(default, 40, 20, D) != gp_fleet_key(custom, 40, 20, D)
-        # Members sharing the custom grid still group together.
-        twin = GaussianProcessSurrogate(hyperparameter_grid=self.CUSTOM_GRID)
-        twin.fit(*make_data(2, 20))
-        assert gp_fleet_key(custom, 40, 20, D) == gp_fleet_key(twin, 40, 20, D)
-
-    def test_fixed_hyperparameter_members_ignore_the_grid(self):
-        """Members that never refine group regardless of their grid."""
-        a = GaussianProcessSurrogate(auto_hyperparameters=False)
-        b = GaussianProcessSurrogate(
-            auto_hyperparameters=False, hyperparameter_grid=self.CUSTOM_GRID
-        )
-        a.fit(*make_data(0, 20))
-        b.fit(*make_data(1, 20))
-        assert gp_fleet_key(a, 40, 20, D) == gp_fleet_key(b, 40, 20, D)
-
-    def test_fleet_fit_rejects_mixed_refine_grids(self):
-        fleet = [
-            GaussianProcessSurrogate(),
-            GaussianProcessSurrogate(hyperparameter_grid=self.CUSTOM_GRID),
-        ]
-        sets = [make_data(k, 24) for k in range(2)]
-        with pytest.raises(ValueError, match="hyperparameter grid"):
-            GPFleet(fleet).fit([X for X, _ in sets], [y for _, y in sets])
-
-    def test_custom_grid_fleet_fit_bitwise_identical(self):
-        solo = [
-            GaussianProcessSurrogate(hyperparameter_grid=self.CUSTOM_GRID)
-            for _ in range(3)
-        ]
-        fleet = [
-            GaussianProcessSurrogate(hyperparameter_grid=self.CUSTOM_GRID)
-            for _ in range(3)
-        ]
-        sets = [make_data(k, 28) for k in range(3)]
-        for gp, (X, y) in zip(solo, sets):
-            gp.fit(X, y)
-        GPFleet(fleet).fit([X for X, _ in sets], [y for _, y in sets])
-        assert_members_identical(solo, fleet)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            GaussianProcessSurrogate(hyperparameter_grid=())
+        assert gp_fleet_key(gp, 30, 10, D) == ("full", D, 30)
 
 
 class TestPartialFitValidation:

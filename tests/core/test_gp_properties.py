@@ -3,8 +3,8 @@
 Random interleavings of ``fit``/``partial_fit`` — including sequences that
 hit the ``refresh_growth`` threshold exactly and its off-by-one neighbours —
 must keep the posterior within ``1e-8`` of a frozen full refit
-(:meth:`~repro.core.surrogate.gaussian_process.GaussianProcessSurrogate.refit_with_current_hyperparameters`
-on the accumulated data), and the fleet path must track the solo path bit for
+(:func:`oracles.gaussian_process.refit_with_current_hyperparameters` on the
+accumulated data), and the fleet path must track the solo path bit for
 bit under the same interleavings.
 """
 
@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+
+from oracles import refit_with_current_hyperparameters
 
 from repro.core.surrogate import GaussianProcessSurrogate, GPFleet
 
@@ -29,7 +31,7 @@ def make_data(seed, n, d=D):
 def assert_posterior_close_to_frozen_refit(gp, X_all, y_all, Xq, atol=1e-8):
     """The incremental state matches a from-scratch factorisation of the
     same kernel (same hyperparameters) to well below the advertised bound."""
-    reference = copy.deepcopy(gp).refit_with_current_hyperparameters(X_all, y_all)
+    reference = refit_with_current_hyperparameters(copy.deepcopy(gp), X_all, y_all)
     mean, std = gp.predict(Xq)
     mean_ref, std_ref = reference.predict(Xq)
     np.testing.assert_allclose(mean, mean_ref, atol=atol, rtol=0)

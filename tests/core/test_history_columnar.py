@@ -2,8 +2,8 @@
 
 The columnar :class:`~repro.core.history.SearchHistory` must be
 observationally identical to the former row-major storage: these tests pit
-it against :class:`~repro.core.history_reference.RowHistoryReference` (the
-original per-row algorithms, kept verbatim in the library) and assert,
+it against :class:`oracles.history.RowHistoryReference` (the original
+per-row algorithms, kept verbatim as a test oracle) and assert,
 property-style over randomized histories with NaN failures, that
 ``objectives()``, ``incumbent_trajectory()``, ``top_quantile()`` and the CSV
 text are identical.
@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import FullRefitGP, RowHistoryReference, refit_with_current_hyperparameters
 from repro.core.history import Evaluation, SearchHistory, _parse_typed
-from repro.core.history_reference import RowHistoryReference
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.space import (
     CategoricalParameter,
@@ -361,8 +361,7 @@ class TestIncrementalGP:
             gp.partial_fit(X[i : i + 5], y[i : i + 5])
         assert gp.num_partial_fits == 10
 
-        reference = copy.deepcopy(gp)
-        reference.refit_with_current_hyperparameters(X, y)
+        reference = refit_with_current_hyperparameters(copy.deepcopy(gp), X, y)
         X_test = self._data(64, seed=99)[0]
         mean_inc, std_inc = gp.predict(X_test)
         mean_ref, std_ref = reference.predict(X_test)
@@ -383,9 +382,9 @@ class TestIncrementalGP:
         mean, std = gp.predict(X[:4])
         assert np.all(np.isfinite(mean)) and np.all(std > 0)
 
-    def test_non_incremental_flag_always_full_fits(self):
+    def test_full_refit_reference_always_full_fits(self):
         X, y = self._data(40)
-        gp = GaussianProcessSurrogate(incremental=False)
+        gp = FullRefitGP()
         assert not gp.supports_partial_fit
         gp.fit(X[:30], y[:30])
         gp.partial_fit(X[30:], y[30:])

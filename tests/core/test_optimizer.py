@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import repr_key
 from repro.core.optimizer import BayesianOptimizer, make_surrogate
 from repro.core.priors import CategoricalPrior, IndependentPrior
 from repro.core.space import (
@@ -119,7 +120,7 @@ class TestAskTell:
         for _ in range(3):
             batch = opt.ask(2)
             opt.tell(batch, [float(i) for i in range(len(batch))])
-            seen.extend(opt._key(c) for c in batch)
+            seen.extend(repr_key(c) for c in batch)
         # All 8 possible configs may eventually be exhausted, but within the
         # first three rounds we should not see duplicates.
         assert len(seen) == len(set(seen))

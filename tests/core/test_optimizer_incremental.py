@@ -1,11 +1,12 @@
 """Regression tests for the incremental encoded-history cache.
 
-The optimizer can run with ``incremental=True`` (encoded rows appended into
-growing buffers, the default) or ``incremental=False`` (full history
-re-encoded per interaction — the pre-cache behaviour).  Because the column
-codecs are elementwise, both paths must produce *bit-identical* surrogate
-inputs and therefore bit-identical ask/tell results; these tests pin that
-down for the optimizer, for :class:`CBOSearch` and for :class:`VAEABOSearch`.
+The optimizer appends encoded rows into growing buffers on ``tell``; the
+reference :class:`~oracles.optimizer.FullReencodeOptimizer` instead re-encodes
+the full history on every interaction (the pre-cache behaviour).  Because the
+column codecs are elementwise, both paths must produce *bit-identical*
+surrogate inputs and therefore bit-identical ask/tell results; these tests pin
+that down for the optimizer, for :class:`CBOSearch` and for
+:class:`VAEABOSearch`.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from fixtures import make_wide_space as make_space, wide_objective as fake_objective
+from oracles import FullReencodeOptimizer, full_reencode
 from repro.core.history import SearchHistory
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.search import CBOSearch, VAEABOSearch
@@ -22,12 +24,12 @@ from repro.core.space import CategoricalParameter, IntegerParameter, SearchSpace
 
 def run_ask_tell(incremental, surrogate, rounds=8, batch=4, seed=123):
     space = make_space()
-    opt = BayesianOptimizer(
+    cls = BayesianOptimizer if incremental else FullReencodeOptimizer
+    opt = cls(
         space,
         surrogate=surrogate,
         num_candidates=128,
         n_initial_points=6,
-        incremental=incremental,
         seed=seed,
     )
     trajectory = []
@@ -46,18 +48,17 @@ class TestIncrementalCacheIdentity:
         # Proposal sequences must match exactly — values, types and order.
         assert traj_inc == traj_ref
         # So must the final training data handed to the surrogate.
-        X_inc, y_inc = opt_inc._train_data()
-        X_ref, y_ref = opt_ref._train_data()
+        X_inc, y_inc = opt_inc.training_data()
+        X_ref, y_ref = opt_ref.training_data()
         assert np.array_equal(X_inc, X_ref)
         assert np.array_equal(y_inc, y_ref)
 
     def test_cached_rows_match_full_reencode(self):
         """Appending encoded batches equals re-encoding the whole history."""
         opt, _ = run_ask_tell(True, "RF", rounds=5)
-        X_cached, y_cached = opt._train_data()
-        X_full = opt._encode(opt._configs)
-        assert np.array_equal(X_cached, X_full)
-        assert np.array_equal(y_cached, np.asarray(opt._objectives))
+        X_cached, y_cached = opt.training_data()
+        assert np.array_equal(X_cached, opt._encode(opt._configs))
+        assert np.array_equal(y_cached, [fake_objective(c) for c in opt._configs])
 
     def test_buffer_growth_preserves_rows(self):
         space = make_space()
@@ -66,7 +67,7 @@ class TestIncrementalCacheIdentity:
         for _ in range(6):  # repeated growth past the initial capacity
             configs = space.sample(40, rng)
             opt.tell(configs, [fake_objective(c) for c in configs])
-        X, y = opt._train_data()
+        X, y = opt.training_data()
         assert X.shape == (240, len(space))
         assert np.array_equal(X, opt._encode(opt._configs))
 
@@ -99,9 +100,10 @@ class TestSearchIdentity:
             surrogate=surrogate,
             n_initial_points=6,
             num_candidates=96,
-            incremental=incremental,
             seed=11,
         )
+        if not incremental:
+            full_reencode(search.optimizer)
         return search.run(max_time=300.0, max_evaluations=60)
 
     def test_cbo_search_identical_with_and_without_cache(self):
@@ -140,9 +142,10 @@ class TestSearchIdentity:
                 num_workers=4,
                 n_initial_points=5,
                 num_candidates=64,
-                incremental=incremental,
                 seed=21,
             )
+            if not incremental:
+                full_reencode(search.optimizer)
             return search.run(max_time=240.0, max_evaluations=40)
 
         res_inc, res_ref = run(True), run(False)

@@ -4,7 +4,7 @@
 row-contiguous shards, scores them separately (optionally on an executor)
 and concatenates.  RF and GP predictions are row-local, so any shard count
 must produce **bit-identical** proposal trajectories — mirroring the
-``incremental=False`` regression style of ``test_optimizer_incremental``.
+full-re-encode regression style of ``test_optimizer_incremental``.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -87,12 +87,6 @@ class TestFleetFitBitIdentity:
         with pytest.raises(ValueError, match="incompatible"):
             fit_forest_fleet([(a, X, y), (b, X, y)])
 
-    def test_recursive_members_rejected(self):
-        X, y = dataset(0)
-        a = RandomForestSurrogate(seed=0, fit_algorithm="recursive")
-        with pytest.raises(ValueError, match="levelwise"):
-            fit_forest_fleet([(a, X, y)])
-
     def test_duplicate_member_rejected(self):
         X, y = dataset(0)
         a = RandomForestSurrogate(seed=0)

@@ -2,9 +2,10 @@
 
 The columnar pipeline rewrote all four space codecs (`to_unit_array`,
 `to_numeric_array`, `to_one_hot_array`, `from_unit_array`) as column-wise
-NumPy operations.  The original per-element loops are kept as ``*_loop``
-reference implementations; these property-based tests assert both paths agree
-over mixed Real/Integer/Categorical/Ordinal spaces.
+NumPy operations.  The original per-element loops live in
+:mod:`oracles.space` as ``*_loop`` reference implementations; these
+property-based tests assert both paths agree over mixed
+Real/Integer/Categorical/Ordinal spaces.
 
 Exactness note: linear transforms and index encodings must agree *bitwise*;
 log-scaled columns go through ``np.log``/``np.exp`` in the vectorised path and
@@ -15,6 +16,13 @@ ulp, so those comparisons allow a relative tolerance of 1e-12.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from oracles import (
+    from_unit_array_loop,
+    to_numeric_array_loop,
+    to_one_hot_array_loop,
+    to_unit_array_loop,
+)
 
 from repro.core.space import (
     CategoricalParameter,
@@ -53,7 +61,7 @@ class TestCodecEquivalence:
     def test_to_unit_array_matches_loop(self, seed, n):
         space, configs = sample_configs(n, seed)
         fast = space.to_unit_array(configs)
-        slow = space.to_unit_array_loop(configs)
+        slow = to_unit_array_loop(space, configs)
         assert fast.shape == slow.shape
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
 
@@ -62,7 +70,7 @@ class TestCodecEquivalence:
     def test_to_numeric_array_matches_loop(self, seed, n):
         space, configs = sample_configs(n, seed)
         fast = space.to_numeric_array(configs)
-        slow = space.to_numeric_array_loop(configs)
+        slow = to_numeric_array_loop(space, configs)
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
 
     @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=64))
@@ -70,7 +78,7 @@ class TestCodecEquivalence:
     def test_to_one_hot_array_matches_loop(self, seed, n):
         space, configs = sample_configs(n, seed)
         fast = space.to_one_hot_array(configs)
-        slow = space.to_one_hot_array_loop(configs)
+        slow = to_one_hot_array_loop(space, configs)
         # One-hot indicator columns must match bitwise; unit columns get the
         # log tolerance.
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
@@ -82,7 +90,7 @@ class TestCodecEquivalence:
         rng = np.random.default_rng(seed)
         U = rng.random((n, len(space)))
         fast = space.from_unit_array(U)
-        slow = space.from_unit_array_loop(U)
+        slow = from_unit_array_loop(space, U)
         assert len(fast) == len(slow) == n
         for cf, cs in zip(fast, slow):
             for p in space:
@@ -137,12 +145,12 @@ class TestCodecEquivalence:
             ]
         )
         configs = space.sample(200, np.random.default_rng(0))
-        assert np.array_equal(space.to_unit_array(configs), space.to_unit_array_loop(configs))
+        assert np.array_equal(space.to_unit_array(configs), to_unit_array_loop(space, configs))
         assert np.array_equal(
-            space.to_numeric_array(configs), space.to_numeric_array_loop(configs)
+            space.to_numeric_array(configs), to_numeric_array_loop(space, configs)
         )
         assert np.array_equal(
-            space.to_one_hot_array(configs), space.to_one_hot_array_loop(configs)
+            space.to_one_hot_array(configs), to_one_hot_array_loop(space, configs)
         )
 
 
@@ -155,7 +163,7 @@ class TestLogClipFix:
         bad = [{"batch": 0, "x": 0.5}, {"batch": -7, "x": 0.5}, {"batch": 2, "x": 0.5}]
         arr = space.to_numeric_array(bad)
         assert np.allclose(arr[:, 0], np.log(2.0))
-        loop = space.to_numeric_array_loop(bad)
+        loop = to_numeric_array_loop(space, bad)
         np.testing.assert_allclose(arr, loop, rtol=1e-12)
 
     def test_log_column_never_mixes_scales(self):

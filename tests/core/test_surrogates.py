@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import DecisionTreeRegressor
 from repro.core.surrogate import (
     ConstantSurrogate,
-    DecisionTreeRegressor,
     GaussianProcessSurrogate,
     RandomForestSurrogate,
     TreeParzenEstimator,

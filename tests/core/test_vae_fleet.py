@@ -250,6 +250,11 @@ def make_members(transform, count, latent_dim=3, hidden=(16, 16)):
     ]
 
 
+def fit_sequentially(members, datasets, **budget):
+    """The reference a fleet must match: one ``member.fit`` after another."""
+    return [member.fit(X, **budget) for member, X in zip(members, datasets)]
+
+
 def assert_members_bitwise_identical(a, b):
     for k, (ma, mb) in enumerate(zip(a, b)):
         for (pa, _), (pb, _) in zip(ma._all_parameters(), mb._all_parameters()):
@@ -275,8 +280,8 @@ class TestVAEFleet:
         transform, datasets = self.fleet_setup()
         sequential = make_members(transform, 3)
         fused = make_members(transform, 3)
-        VAEFleet(sequential).fit(datasets, epochs=8, batch_size=10, fused=False)
-        VAEFleet(fused).fit(datasets, epochs=8, batch_size=10, fused=True)
+        fit_sequentially(sequential, datasets, epochs=8, batch_size=10)
+        VAEFleet(fused).fit(datasets, epochs=8, batch_size=10)
         assert_members_bitwise_identical(sequential, fused)
 
     def test_fleet_of_one_matches_solo_fit(self):
@@ -293,8 +298,8 @@ class TestVAEFleet:
         transform, datasets = self.fleet_setup(count=2, rows=17)
         sequential = make_members(transform, 2)
         fused = make_members(transform, 2)
-        VAEFleet(sequential).fit(datasets, epochs=5, batch_size=8, fused=False)
-        VAEFleet(fused).fit(datasets, epochs=5, batch_size=8, fused=True)
+        fit_sequentially(sequential, datasets, epochs=5, batch_size=8)
+        VAEFleet(fused).fit(datasets, epochs=5, batch_size=8)
         assert_members_bitwise_identical(sequential, fused)
 
     def test_validation_rejects_bad_fleets(self):
@@ -350,6 +355,6 @@ class TestVAEFleet:
         ]
         sequential = make_members(transform, 8, latent_dim=4, hidden=(64, 64))
         fused = make_members(transform, 8, latent_dim=4, hidden=(64, 64))
-        VAEFleet(sequential).fit(datasets, epochs=120, batch_size=64, fused=False)
-        VAEFleet(fused).fit(datasets, epochs=120, batch_size=64, fused=True)
+        fit_sequentially(sequential, datasets, epochs=120, batch_size=64)
+        VAEFleet(fused).fit(datasets, epochs=120, batch_size=64)
         assert_members_bitwise_identical(sequential, fused)
