@@ -793,8 +793,9 @@ class ServiceEvaluator:
                 target = pool.now
             if math.isinf(target):
                 # Nothing will ever happen and this client has nothing
-                # outstanding: do not spin the shared clock to infinity.
-                return pool.now, []
+                # outstanding: do not spin the shared clock to infinity, but
+                # hand over results another client's clock advance fired.
+                return pool.now, self.collect()
             pool.advance_to(target)
             collected = self.collect()
             if (

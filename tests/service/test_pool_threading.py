@@ -126,3 +126,21 @@ class TestPoolThreadSafety:
         assert pool.num_queued == 0
         # The shared clock is a single coherent timeline.
         assert math.isfinite(pool.now) and pool.now > 0.0
+
+
+class TestSharedClockCollection:
+    def test_wait_any_collects_results_another_client_fired(self):
+        # B's 5 s job completes while A drains its 10 s job, so B's result
+        # already sits in B's done list when the pool has no event left.
+        # An uncapped wait must hand it over rather than report nothing.
+        pool = SharedWorkerPool(num_workers=2)
+        a = ServiceEvaluator(lambda c: 10.0, pool=pool)
+        b = ServiceEvaluator(lambda c: 5.0, pool=pool)
+        b.submit([{"i": 0}])
+        a.submit([{"i": 1}])
+        assert [ev.runtime for ev in drain(a, 1)] == [10.0]
+        now, done = b.wait_any(math.inf)
+        assert now == 10.0
+        assert [(ev.runtime, ev.completed) for ev in done] == [(5.0, 5.0)]
+        assert b.num_collected == 1
+        assert b.collect() == []
