@@ -16,7 +16,7 @@ straight off memory-mapped columns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 

@@ -20,10 +20,8 @@ utilisation metric of Fig. 4 (d)/(f) is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.space import Configuration
 from repro.sim.faults import FaultDecision, FaultPlan, make_fault_plan

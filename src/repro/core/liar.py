@@ -27,7 +27,7 @@ benchmark.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -42,7 +42,7 @@ setups).  The five experimental setups follow the paper's nomenclature
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.space import (

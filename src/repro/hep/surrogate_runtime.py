@@ -17,8 +17,7 @@ to exceed it return NaN, as the real killed runs do.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.sim import Environment
-from repro.mochi.argobots import Pool, PoolKind
+from repro.mochi.argobots import Pool
 from repro.mochi.mercury import NetworkInterface, NetworkModel
 
 __all__ = ["ProgressMode", "ProgressCostModel", "MargoEngine"]
