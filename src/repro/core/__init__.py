@@ -13,8 +13,8 @@ Algorithm 1) — together with every building block it needs:
 * :mod:`repro.core.acquisition` / :mod:`repro.core.liar` — confidence-bound
   acquisition and the constant-liar multi-point strategy.
 * :mod:`repro.core.optimizer` — the ask/tell Bayesian optimizer.
-* :mod:`repro.core.evaluator` — virtual-clock asynchronous evaluator pool
-  (manager/worker architecture).
+* :mod:`repro.core.evaluator` — the virtual-clock asynchronous worker pool
+  (manager/worker architecture) and its per-campaign clients.
 * :mod:`repro.core.search` — the asynchronous search loop (`CBOSearch`,
   `VAEABOSearch`).
 * :mod:`repro.core.vae` — the tabular variational autoencoder (NumPy MLPs with
@@ -47,14 +47,13 @@ from repro.core.optimizer import (
     CandidateScoringError,
     make_surrogate,
 )
-from repro.core.evaluator import AsyncVirtualEvaluator, WorkerState
+from repro.core.evaluator import ServiceEvaluator, SharedWorkerPool, WorkerState
 from repro.core.overhead import AnalyticOverheadModel, MeasuredOverheadModel
 from repro.core.search import CBOSearch, SearchResult, VAEABOSearch
 from repro.core.transfer import TransferLearningPrior, fit_transfer_prior
 
 __all__ = [
     "AnalyticOverheadModel",
-    "AsyncVirtualEvaluator",
     "BayesianOptimizer",
     "CandidateScoringError",
     "CategoricalParameter",
@@ -75,6 +74,8 @@ __all__ = [
     "SearchHistory",
     "SearchResult",
     "SearchSpace",
+    "ServiceEvaluator",
+    "SharedWorkerPool",
     "TransferLearningPrior",
     "UniformPrior",
     "VAEABOSearch",

@@ -72,7 +72,9 @@ __all__ = [
     "set_journal_cache_limit",
 ]
 
-FORMAT_VERSION = 1
+#: Format 2 checkpoints the worker-pool client's ``state_dict``; format 1
+#: held the retired private evaluator's, which no longer loads.
+FORMAT_VERSION = 2
 META_NAME = "meta.json"
 CHECKPOINT_NAME = "checkpoint.json"
 
@@ -89,6 +91,14 @@ _META_COLUMNS: Tuple[Tuple[str, str], ...] = (
 
 class JournalError(RuntimeError):
     """A campaign journal is missing, malformed, or does not match the search."""
+
+
+def _check_format(meta: Dict) -> None:
+    if meta.get("format") != FORMAT_VERSION:
+        raise JournalError(
+            f"unsupported journal format {meta.get('format')!r}: this version "
+            f"reads format {FORMAT_VERSION} only"
+        )
 
 
 def _json_default(value: Any):
@@ -502,8 +512,7 @@ class CampaignJournal:
         :class:`JournalError` — resuming under a different configuration
         would silently diverge from the original run instead.
         """
-        if meta.get("format") != FORMAT_VERSION:
-            raise JournalError(f"unsupported journal format {meta.get('format')!r}")
+        _check_format(meta)
         fingerprint = _space_fingerprint(space)
         if meta.get("space") != fingerprint:
             raise JournalError(
@@ -722,8 +731,7 @@ class JournalReader:
         """
         directory = Path(directory)
         meta = CampaignJournal.read_meta(directory)
-        if meta.get("format") != FORMAT_VERSION:
-            raise JournalError(f"unsupported journal format {meta.get('format')!r}")
+        _check_format(meta)
         checkpoint = CampaignJournal.read_checkpoint(directory)
         payload: Dict[str, Any] = {
             "directory": str(directory),

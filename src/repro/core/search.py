@@ -1,7 +1,8 @@
 """Asynchronous search loops: CBO (no transfer) and VAE-ABO (Algorithm 1).
 
 :class:`CBOSearch` implements the distributed asynchronous Bayesian
-optimization of §III-A on top of the virtual-clock evaluator:
+optimization of §III-A on top of the virtual-clock worker pool
+(:mod:`repro.core.evaluator`):
 
 1. sample one configuration per worker from the prior and submit them all
    (initialisation phase, Algorithm 1 l. 13-16);
@@ -31,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.evaluator import AsyncVirtualEvaluator, DEFAULT_FAILURE_DURATION
+from repro.core.evaluator import DEFAULT_FAILURE_DURATION, ServiceEvaluator
 from repro.core.history import SearchHistory
 from repro.core.journal import CampaignJournal, JournalError
 from repro.core.objective import Objective
@@ -137,11 +138,11 @@ class CBOSearch:
         produces identical searches.
     evaluator_factory:
         Optional callable ``(run_function, num_workers, failure_duration) →
-        evaluator`` replacing the private
-        :class:`~repro.core.evaluator.AsyncVirtualEvaluator` — e.g. a
-        :class:`~repro.service.ServiceEvaluator` bound to a shared worker
-        pool.  The evaluator must implement the same
-        submit/collect/wait_any protocol.
+        evaluator`` replacing the default private-pool
+        :class:`~repro.core.evaluator.ServiceEvaluator` — e.g.
+        ``SharedWorkerPool.evaluator_factory()``, which binds the campaign to
+        a worker pool shared with other campaigns.  The evaluator must
+        implement the same submit/collect/wait_any protocol.
     prior_refresh_interval:
         The continuous-retuning scenario: every this-many completed
         evaluations, refit a tabular VAE on the campaign's *own* best
@@ -434,7 +435,7 @@ class CampaignExecution:
                 search.run_function, search.num_workers, search.failure_duration
             )
         else:
-            self.evaluator = AsyncVirtualEvaluator(
+            self.evaluator = ServiceEvaluator(
                 search.run_function,
                 num_workers=search.num_workers,
                 failure_duration=search.failure_duration,

@@ -4,7 +4,9 @@ The paper's evaluation runs many asynchronous BO campaigns (setups ×
 methods × repetitions); executed naively they run strictly one after
 another, each paying its own Python/NumPy pass overhead per manager
 interaction.  :class:`CampaignRunner` instead advances N campaigns in
-lock-step *batch ticks* over their virtual-time evaluators:
+lock-step *batch ticks* over their virtual-time worker pools (each campaign
+a :class:`~repro.core.evaluator.ServiceEvaluator` client, of a private pool
+by default):
 
 1. **collect** — every active campaign advances to its own next completion
    event and records the finished evaluations;
@@ -67,10 +69,10 @@ sequential run holds regardless of when a campaign joins or leaves the
 fleet, because each campaign's own phase order is unchanged and every fused
 pass is bit-identical per member.
 
-Campaigns may also share a :class:`~repro.service.SharedWorkerPool` through
-``CBOSearch(evaluator_factory=pool.evaluator_factory())``, in which case they
-compete for the same workers on one clock — the service deployment scenario
-(results then legitimately differ from private-worker runs).
+Campaigns may instead share one :class:`~repro.core.evaluator.SharedWorkerPool`
+through ``CBOSearch(evaluator_factory=pool.evaluator_factory())``, in which
+case they compete for the same workers on one clock — the service deployment
+scenario (results then legitimately differ from private-pool runs).
 
 **Parallel scoring** (``step_workers``): the tick is one pipeline over the
 whole active set, so fusion groups always span the fleet.  With

@@ -1,18 +1,21 @@
 """Property-based tests of the asynchronous evaluation protocol.
 
-The invariants are checked for the private
-:class:`~repro.core.evaluator.AsyncVirtualEvaluator` **and** for the
-queue-based :class:`~repro.service.ServiceEvaluator` on a private pool — the
-same properties against both backends pin the protocol equivalence the
-``evaluator_factory`` seam relies on:
+The invariants are checked for a :class:`~repro.core.evaluator.ServiceEvaluator`
+on a private pool **and** for one bound through
+``SharedWorkerPool.evaluator_factory()`` to a pool that also serves an idle
+second client — the two ways a campaign gets its evaluator:
 
 * ``collect``/``wait_any`` return evaluations ordered by completion time, and
   completion times never decrease across successive collections;
 * ``utilization`` stays within ``[0, 1]``;
 * ``num_pending + num_idle == num_workers`` (each worker runs at most one
   evaluation);
-* driven by the same randomly generated submission script, both backends
-  produce identical completion sequences and utilisation.
+* driven by the same randomly generated submission script, both produce
+  identical completion sequences and utilisation: an idle co-client does not
+  perturb a campaign.
+
+Bit-exact traces of the protocol are pinned separately in
+``tests/core/test_evaluator_traces.py``.
 """
 
 import math
@@ -20,8 +23,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.evaluator import AsyncVirtualEvaluator
-from repro.service import ServiceEvaluator
+from repro.core.evaluator import ServiceEvaluator, SharedWorkerPool
 
 NUM_WORKERS = 5
 
@@ -54,8 +56,15 @@ def make_run_function(runtime_stream):
     return run
 
 
+def pool_client(run):
+    """A factory-bound client of a pool that also serves an idle client."""
+    pool = SharedWorkerPool(num_workers=NUM_WORKERS)
+    ServiceEvaluator(run, pool=pool)
+    return pool.evaluator_factory()(run, NUM_WORKERS, 600.0)
+
+
 BACKENDS = {
-    "async": lambda run: AsyncVirtualEvaluator(run, num_workers=NUM_WORKERS),
+    "pool": pool_client,
     "service": lambda run: ServiceEvaluator(run, num_workers=NUM_WORKERS),
 }
 
@@ -147,7 +156,7 @@ class TestBackendEquivalence:
                 evaluator.num_collected,
                 evaluator.utilization(1000.0),
             )
-        assert results["async"] == results["service"]
+        assert results["pool"] == results["service"]
 
 
 class TestServiceQueueing:
@@ -168,15 +177,7 @@ class TestServiceQueueing:
         assert [ev.configuration["i"] for ev in third] == [4]
         assert evaluator.now == 30.0
 
-    def test_async_evaluator_drops_excess_submissions(self):
-        evaluator = AsyncVirtualEvaluator(lambda c: 10.0, num_workers=2)
-        accepted = evaluator.submit([{"i": i} for i in range(5)])
-        assert accepted == 2
-        assert evaluator.num_pending == 2
-
     def test_shared_pool_clients_share_clock_and_workers(self):
-        from repro.service import SharedWorkerPool
-
         pool = SharedWorkerPool(num_workers=3)
         a = ServiceEvaluator(lambda c: 5.0, pool=pool)
         b = ServiceEvaluator(lambda c: 7.0, pool=pool)

@@ -2,7 +2,8 @@
 
 ``golden_evaluator_traces.json`` holds seeded submit / ``wait_any`` /
 ``collect`` scripts on 1, 6 and 128 workers, plus one case each for a
-custom ``failure_duration``, a ``duration_function`` and a ``deadline``.
+custom ``failure_duration``, a ``duration_function``, a ``deadline`` and a
+fault plan.
 Each script draws its run times (ties, failures and non-positive values
 included), how many idle workers to fill, whether to pass the run times to
 ``submit`` precomputed, and whether to wait uncapped, wait with a cap or
@@ -11,10 +12,13 @@ evaluation as ``(id, worker, submitted, completed, runtime)``, the clock
 after each step, and the final counters and ``utilization``.  Floats are
 stored as ``float.hex``, so every field compares exactly, NaN included.
 
-The corpus was generated from the private ``AsyncVirtualEvaluator`` before
-it was folded into :class:`~repro.core.evaluator.ServiceEvaluator`; a
-private-pool client must reproduce every bit.  Regenerate it only for a
-change that is meant to alter evaluator traces::
+The fault-free cases were generated from the private ``AsyncVirtualEvaluator``
+before it was folded into :class:`~repro.core.evaluator.ServiceEvaluator`,
+and the ``faults`` case (lost and crashed work retried with backoff, then
+delivered as NaN) from the worker pool as it was before its event and
+idle-worker heaps; a private-pool client must reproduce every bit.
+Regenerate the corpus only for a change that is meant to alter evaluator
+traces::
 
     PYTHONPATH=src python tests/core/test_evaluator_traces.py
 """
@@ -29,7 +33,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.service import ServiceEvaluator
+from repro.core.evaluator import ServiceEvaluator
+from repro.sim import FaultPlan
 
 CORPUS_PATH = pathlib.Path(__file__).with_name("golden_evaluator_traces.json")
 
@@ -46,6 +51,24 @@ CASES = {
         {"duration_function": lambda config, runtime: 5.0 + 2.5 * (config["id"] % 7)},
     ),
     "deadline": (6, 80, 9, {"deadline": 45.0}),
+    "faults": (
+        6,
+        100,
+        10,
+        {
+            "fault_plan": FaultPlan(
+                seed=5,
+                failure_rate=0.1,
+                crash_rate=0.02,
+                hang_rate=0.05,
+                loss_rate=0.15,
+                straggler_rate=0.1,
+                straggler_factor=3.0,
+            ),
+            "deadline": 90.0,
+            "backoff_base": 5.0,
+        },
+    ),
 }
 
 
@@ -123,7 +146,12 @@ CORPUS = json.loads(CORPUS_PATH.read_text()) if CORPUS_PATH.exists() else {}
 def test_corpus_covers_every_case():
     assert sorted(CORPUS) == sorted(CASES)
     for case, trace in CORPUS.items():
-        assert trace["num_collected"] == trace["num_submitted"] > CASES[case][0]
+        assert trace["num_collected"] > CASES[case][0]
+        if case == "faults":
+            # Retries are submissions too, and some lost work was retried.
+            assert trace["num_collected"] < trace["num_submitted"]
+        else:
+            assert trace["num_collected"] == trace["num_submitted"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

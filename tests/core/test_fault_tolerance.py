@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import make_service_search as make_search
 from repro.core.evaluator import (
-    AsyncVirtualEvaluator,
     EvaluatorStalledError,
+    ServiceEvaluator,
+    SharedWorkerPool,
     resolve_duration,
     resolve_outcome,
 )
-from repro.service import ServiceEvaluator, SharedWorkerPool
 from repro.sim import FaultDecision, FaultPlan
 
 NUM_WORKERS = 5
@@ -84,13 +84,15 @@ ALL_HANG = FaultPlan(seed=0, hang_rate=1.0)
 
 
 class TestStallValve:
-    def test_async_evaluator_raises_when_everything_hangs(self):
-        evaluator = AsyncVirtualEvaluator(
-            lambda c: 10.0, num_workers=2, fault_plan=ALL_HANG
-        )
+    def test_shared_pool_client_raises_when_everything_hangs(self):
+        pool = SharedWorkerPool(num_workers=2, fault_plan=ALL_HANG)
+        evaluator = ServiceEvaluator(lambda c: 10.0, pool=pool)
+        idle = ServiceEvaluator(lambda c: 10.0, pool=pool)
         evaluator.submit([{"i": 0}, {"i": 1}])
         with pytest.raises(EvaluatorStalledError):
             evaluator.wait_any(math.inf)
+        # A client with nothing outstanding is not stalled by others' hangs.
+        assert idle.wait_any(math.inf) == (0.0, [])
 
     def test_service_evaluator_raises_when_everything_hangs(self):
         evaluator = ServiceEvaluator(
@@ -121,6 +123,36 @@ class TestStallValve:
         with pytest.raises(EvaluatorStalledError, match="dead"):
             while True:
                 evaluator.wait_any(math.inf)
+
+
+# ------------------------------------------------------------- retry release
+class LoseFirst(FaultPlan):
+    """Loses evaluation 0 and leaves every other one healthy."""
+
+    def decide(self, seq):
+        return FaultDecision(lost=True) if seq == 0 else FaultDecision()
+
+
+class TestRetryRelease:
+    def test_retry_is_released_before_simultaneous_completions(self):
+        # Evaluation 0 is lost at t=10 and its retry is ready at t=20, the
+        # instant both running evaluations complete.  Released first, the
+        # retry queues and takes the first freed worker (worker 1); released
+        # after the completions it would take the lowest idle one (worker 0).
+        pool = SharedWorkerPool(
+            num_workers=2, fault_plan=LoseFirst(seed=0, loss_rate=1.0), backoff_base=10.0
+        )
+        durations = {0: 10.0, 1: 20.0, 2: 10.0}
+        evaluator = ServiceEvaluator(lambda c: durations[c["i"]], pool=pool)
+        evaluator.submit([{"i": 0}, {"i": 1}, {"i": 2}])
+        now, done = evaluator.wait_any(math.inf)
+        assert now == 20.0 and [ev.configuration["i"] for ev in done] == [1, 2]
+        now, done = evaluator.wait_any(math.inf)
+        assert now == 30.0
+        assert [(ev.configuration["i"], ev.worker, ev.submitted) for ev in done] == [
+            (0, 1, 20.0)
+        ]
+        assert (pool.num_lost, pool.num_retried, pool.num_exhausted) == (1, 1, 0)
 
 
 # -------------------------------------------------------------- NaN objectives
@@ -175,10 +207,15 @@ submissions = st.lists(
     st.integers(min_value=0, max_value=NUM_WORKERS), min_size=2, max_size=10
 )
 
+def pool_client(run, plan):
+    """A client of an explicit faulty pool that also serves an idle client."""
+    pool = SharedWorkerPool(num_workers=NUM_WORKERS, fault_plan=plan, deadline=600.0)
+    ServiceEvaluator(run, pool=pool)
+    return ServiceEvaluator(run, pool=pool)
+
+
 FAULT_BACKENDS = {
-    "async": lambda run, plan: AsyncVirtualEvaluator(
-        run, num_workers=NUM_WORKERS, fault_plan=plan, deadline=600.0
-    ),
+    "pool": pool_client,
     "service": lambda run, plan: ServiceEvaluator(
         run, num_workers=NUM_WORKERS, fault_plan=plan, deadline=600.0
     ),
@@ -187,13 +224,8 @@ FAULT_BACKENDS = {
 
 def workers_accounted_for(evaluator):
     """Busy + idle + dead workers always partition the pool."""
-    if isinstance(evaluator, ServiceEvaluator):
-        pool = evaluator.pool
-        return pool.num_pending + pool.num_idle + pool.num_dead == pool.num_workers
-    return (
-        evaluator.num_pending + evaluator.num_idle + evaluator.num_dead
-        == evaluator.num_workers
-    )
+    pool = evaluator.pool
+    return pool.num_pending + pool.num_idle + pool.num_dead == pool.num_workers
 
 
 @pytest.mark.parametrize("backend", sorted(FAULT_BACKENDS))
@@ -231,7 +263,7 @@ class TestFaultScheduleInvariants:
                 assert math.isfinite(t) and t >= last
                 last = t
         guard = 0
-        while evaluator.num_pending or getattr(evaluator, "num_queued", 0):
+        while evaluator.num_pending or evaluator.num_queued:
             try:
                 evaluator.wait_any(math.inf)
             except EvaluatorStalledError:

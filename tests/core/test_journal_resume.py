@@ -9,6 +9,7 @@ perturb the fault-free path: a journaled run matches an unjournaled baseline
 bit for bit.
 """
 
+import json
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from fixtures import (
     make_service_space as make_space,
     service_run_function as run_function,
 )
-from repro.core.journal import CampaignJournal, JournalError
+from repro.core.journal import CampaignJournal, JournalError, JournalReader
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import ServiceEvaluator
@@ -211,6 +212,20 @@ class TestResumeValidation:
         (tmp_path / "j").mkdir()
         with pytest.raises(JournalError):
             make_search(0).resume(tmp_path / "j")
+
+    def test_format_1_journal_is_refused(self, tmp_path):
+        """Format 1 checkpointed the retired private evaluator's state; the
+        resume path and the read-only reader both refuse it by name."""
+        crash_after(make_search(0), 3, tmp_path / "j", **BUDGET)
+        meta_path = tmp_path / "j" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["format"] == 2
+        meta["format"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(JournalError, match="format 1.*format 2"):
+            make_search(0).resume(tmp_path / "j")
+        with pytest.raises(JournalError, match="format 1.*format 2"):
+            JournalReader(tmp_path / "j", make_space())
 
 
 class TestJournalRecord:

@@ -30,7 +30,7 @@ from fixtures import (
 )
 from repro.core.surrogate import RandomForestSurrogate
 from repro.core.search import CBOSearch
-from repro.service.evaluator import SharedWorkerPool
+from repro.service import SharedWorkerPool
 from repro.service.runner import (
     CampaignRunner,
     CampaignSpec,

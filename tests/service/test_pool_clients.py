@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fixtures import make_service_space, service_run_function
-from repro.service.evaluator import ServiceEvaluator, SharedWorkerPool
+from repro.service import ServiceEvaluator, SharedWorkerPool
 
 
 def run_to_completion(client, configs):

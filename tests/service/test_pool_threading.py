@@ -2,7 +2,7 @@
 
 Before the pool lock, threads stepping two clients of one pool concurrently
 corrupted the scheduler: ``submit`` could double-start one idle worker (two
-threads both saw it idle), ``process_until`` could pop the retry heap
+threads both saw it idle), event processing could pop the retry heap
 concurrently, and ``wait_any``'s advance-then-collect could interleave with
 another client's clock advance so completions were collected at the wrong
 virtual time.  The pool now serialises every scheduling/clock/queue entry
@@ -21,7 +21,7 @@ import threading
 import numpy as np
 
 from fixtures import make_service_space, service_run_function
-from repro.service.evaluator import ServiceEvaluator, SharedWorkerPool
+from repro.service import ServiceEvaluator, SharedWorkerPool
 
 
 def drain(evaluator, outstanding):
