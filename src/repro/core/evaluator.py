@@ -559,7 +559,7 @@ class SharedWorkerPool:
             return self._state_dict_locked()
 
     def _state_dict_locked(self) -> Dict:
-        retries = sorted(e[:3] + e[3][1:] for e in self._events if e[1] == _RETRY)
+        retries = sorted((e for e in self._events if e[1] == _RETRY), key=lambda e: e[:3])
         return {
             "now": self.now,
             "next_seq": self._next_seq,
@@ -592,7 +592,7 @@ class SharedWorkerPool:
                     "runtime": r,
                     "attempt": a,
                 }
-                for ready_at, _, order, c, r, a in retries
+                for ready_at, _, order, (_, c, r, a) in retries
             ],
             "attempts": {str(seq): a for seq, a in self._attempts.items()},
             "workers": [

@@ -139,9 +139,8 @@ class TestRetryRelease:
         # instant both running evaluations complete.  Released first, the
         # retry queues and takes the first freed worker (worker 1); released
         # after the completions it would take the lowest idle one (worker 0).
-        pool = SharedWorkerPool(
-            num_workers=2, fault_plan=LoseFirst(seed=0, loss_rate=1.0), backoff_base=10.0
-        )
+        plan = LoseFirst(seed=0, loss_rate=1.0)
+        pool = SharedWorkerPool(num_workers=2, fault_plan=plan, backoff_base=10.0)
         durations = {0: 10.0, 1: 20.0, 2: 10.0}
         evaluator = ServiceEvaluator(lambda c: durations[c["i"]], pool=pool)
         evaluator.submit([{"i": 0}, {"i": 1}, {"i": 2}])
